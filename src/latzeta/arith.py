@@ -85,10 +85,13 @@ _SIEVE: SieveTable | None = None
 
 
 def ensure_sieve(limit: int = DEFAULT_SIEVE_LIMIT) -> SieveTable:
-    """Build (or extend) the shared sieve table."""
+    """Build (or extend) the shared sieve table; it at least doubles when it
+    grows, so rising requests rebuild it only logarithmically often."""
     global _SIEVE
-    if _SIEVE is None or _SIEVE.limit < limit:
+    if _SIEVE is None:
         _SIEVE = SieveTable.build(limit)
+    elif _SIEVE.limit < limit:
+        _SIEVE = SieveTable.build(max(limit, 2 * _SIEVE.limit))
     return _SIEVE
 
 
@@ -111,8 +114,8 @@ def factorize(n: int) -> dict[int, int]:
         raise ValueError("n must be >= 1")
     if n == 1:
         return {}
-    st = ensure_sieve(min(max(n, 3), DEFAULT_SIEVE_LIMIT))
-    if n <= st.limit:
+    if n <= DEFAULT_SIEVE_LIMIT:
+        st = ensure_sieve(n)
         out: dict[int, int] = {}
         while n > 1:
             p = int(st.spf[n])
@@ -135,9 +138,8 @@ def divisors(n: int) -> list[int]:
 def moebius(n: int) -> int:
     if n < 1:
         raise ValueError("n must be >= 1")
-    st = ensure_sieve()
-    if n <= st.limit:
-        return int(st.mu[n])
+    if n <= DEFAULT_SIEVE_LIMIT:
+        return int(ensure_sieve(n).mu[n])
     f = factorize(n)
     if any(e > 1 for e in f.values()):
         return 0
@@ -148,9 +150,8 @@ def gamma_mult(n: int) -> int:
     """gamma(n) = prod_{p|n} (1-p) = sum_{m|n} m mu(m)."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    st = ensure_sieve()
-    if n <= st.limit:
-        return int(st.gam[n])
+    if n <= DEFAULT_SIEVE_LIMIT:
+        return int(ensure_sieve(n).gam[n])
     out = 1
     for p in factorize(n):
         out *= 1 - p
@@ -176,7 +177,7 @@ def r_count(nu: int, n: int) -> int:
     """#{m in Z^nu : |m|^2 = n} by direct shell enumeration."""
     if nu < 1 or n < 1:
         raise ValueError("need nu >= 1 and n >= 1")
-    return len(lattice.enumerate_shell(nu, n))
+    return lattice.shell_array(nu, n).shape[0]
 
 
 @lru_cache(maxsize=16)
@@ -349,8 +350,7 @@ def r_primitive(nu: int, n: int, chi: Character | None) -> complex:
     arr = lattice.shell_array(nu, n)
     if arr.shape[0] == 0:
         return 0j
-    g = np.gcd.reduce(np.abs(arr), axis=1)
-    arr = arr[g == 1]
+    arr = arr[lattice.row_gcd(arr) == 1]
     if arr.shape[0] == 0:
         return 0j
     if chi.is_zero():
@@ -377,7 +377,7 @@ def M_value(nu: int, n: int, chi: Character | None, x: float) -> complex:
     arr = lattice.shell_array(nu, n)
     if arr.shape[0] == 0:
         return 0j
-    g = np.gcd.reduce(np.abs(arr), axis=1)
+    g = lattice.row_gcd(arr)
     w = g.astype(np.float64) ** (-float(x))
     if chi.is_zero():
         direct = complex(w.sum())

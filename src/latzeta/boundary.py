@@ -48,7 +48,7 @@ def _check_prime(p: int) -> None:
         raise NotPrime(f"{p} is not prime")
 
 
-def _geom(x: Fraction, weight_shift: int = 0) -> Fraction:
+def _geom(x: Fraction) -> Fraction:
     """sum_{n>=1} x^n = x/(1-x), exact."""
     return x / (1 - x)
 

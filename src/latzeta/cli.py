@@ -20,7 +20,7 @@ from dataclasses import dataclass, fields
 from fractions import Fraction
 
 from . import boundary, detlap, ruelle, tauber
-from .arith import ensure_sieve, r_closed
+from .arith import factorize, r_closed
 from .errors import DomainError, NotCoprime, NotPrime, UnsupportedDimension
 from .lattice import Character
 from .ruelle import Truncation
@@ -38,17 +38,15 @@ class RunConfig:
     ell_limit: int = 0
     mobius_limit: int = 60
     tol: float = 1e-9
-    sieve_limit: int = 10**6
     format: str = "json"
     output: str = ""
-    threads: int = 1
     ratio_band: float = 0.10
 
     def validate(self) -> None:
         if self.format not in ("json", "csv"):
             raise ValueError("format must be json or csv")
-        if self.mobius_limit < 1 or self.sieve_limit < 1 or self.threads < 1:
-            raise ValueError("limits must be positive")
+        if self.mobius_limit < 1:
+            raise ValueError("mobius_limit must be positive")
         if self.tol <= 0 or self.ratio_band <= 0:
             raise ValueError("tol and ratio_band must be positive")
 
@@ -139,7 +137,6 @@ def cmd_arith(args, cfg: RunConfig) -> int:
     if nu < 1 or nmax < 1:
         print("error: need nu >= 1 and max >= 1", file=sys.stderr)
         return EXIT_BADARGS
-    ensure_sieve(min(cfg.sieve_limit, 10**6))
     # table route: r from the counting convolution, then the square-class
     # Moebius decomposition for the primitive counts and M(n, 1)
     from latzeta.arith import moebius, r_table
@@ -217,7 +214,9 @@ def cmd_lfun(args, cfg: RunConfig) -> int:
 
 
 def cmd_boundary(args, cfg: RunConfig) -> int:
-    cert = boundary.certify_nonvanishing(args.nu, args.m, args.n, args.prime_limit)
+    # the certificate needs every prime factor of m and n below its limit
+    prime_limit = max([args.prime_limit, *factorize(args.m * args.n)])
+    cert = boundary.certify_nonvanishing(args.nu, args.m, args.n, prime_limit)
     _emit(cfg, cert.to_json_dict())
     return EXIT_OK if cert.verdict else EXIT_FAIL
 
@@ -301,7 +300,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nu", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--prime-limit", type=int, default=100)
+    p.add_argument("--prime-limit", type=int, default=100,
+                   help="raised to the largest prime factor of m*n when below it")
     p.set_defaults(func=cmd_boundary)
 
     p = sub.add_parser("detlap", help="torus determinant and ladder verification")

@@ -19,7 +19,6 @@ import numpy as np
 from scipy import integrate
 
 from . import lattice
-from .arith import r_twisted
 from .errors import DomainError
 from .lattice import Character, _as_character
 from .ruelle import Truncation
@@ -135,7 +134,6 @@ def log_det_odd(
     chi: Character | None,
     s: complex,
     tr: Truncation | None = None,
-    by_shell: bool = False,
 ) -> complex:
     """Exponent of the nu = 2 ell + 1 canonical representative.
 
@@ -151,17 +149,6 @@ def log_det_odd(
     R2 = int(math.ceil(tr.radius**2))
     cs = [float(c_coeff(ell, k)) for k in range(ell + 1)]
     lead = -((-2.0 * math.pi) ** (ell + 1)) / _double_factorial(2 * ell + 1) * s ** (2 * ell + 1)
-
-    if by_shell:
-        acc = 0j
-        for n in range(1, R2 + 1):
-            rt = r_twisted(nu, n, chi)
-            if rt == 0:
-                continue
-            rn = math.sqrt(n)
-            poly = sum(c * (2.0 * math.pi * rn) ** (-k) * s ** (ell - k) for k, c in enumerate(cs))
-            acc += rt * rn ** (-(ell + 1)) * poly * np.exp(-2.0 * math.pi * rn * s)
-        return lead - acc
 
     acc = 0j
     for chunk in lattice.ball_chunks(nu, R2):
@@ -188,7 +175,6 @@ def log_det_even(
     chi: Character | None,
     s: float,
     tr: Truncation | None = None,
-    by_shell: bool = False,
 ) -> float:
     """Exponent of the nu = 2 ell canonical representative (real s only).
 
@@ -205,17 +191,6 @@ def log_det_even(
     tr = tr or det_truncation(s)
     R2 = int(math.ceil(tr.radius**2))
     lead = 2.0 * (-1.0) ** ell * math.pi**ell / math.factorial(ell) * s ** (2 * ell) * math.log(s)
-
-    if by_shell:
-        acc = 0.0
-        for n in range(1, R2 + 1):
-            rt = r_twisted(nu, n, chi)
-            if rt == 0:
-                continue
-            rn = math.sqrt(n)
-            kv = float(bessel_K_array(ell, np.array([2.0 * math.pi * rn * s]))[0])
-            acc += rt.real * rn ** (-ell) * kv
-        return lead - 2.0 * s**ell * acc
 
     acc = 0.0
     for chunk in lattice.ball_chunks(nu, R2):
@@ -266,7 +241,6 @@ def spectral_sum(
     if s <= 0:
         raise DomainError("need s > 0")
     chi = _as_character(chi, nu)
-    alphas = np.array([float(a) for a in chi.alpha])
     if radius is not None:
         R = float(radius)
     else:
@@ -275,14 +249,9 @@ def spectral_sum(
         # gain from the faster decay of j > nu/2
         default = {1: 50_000.0, 2: 250.0, 3: 150.0}
         R = max(default.get(nu, 40.0), 12.0 * s)
-    Ri = int(math.ceil(R)) + 1
     total = 0.0
-    from .ruelle import _box_chunks
-
-    for pts in _box_chunks(nu, Ri):
-        sq = ((pts + alphas) ** 2).sum(axis=1)
-        mask = sq <= R * R
-        total += float(np.sum((sq[mask] + s * s) ** (-float(j))))
+    for sq in lattice.shifted_ball_sq(nu, chi, R):
+        total += float(np.sum((sq + s * s) ** (-float(j))))
     area = sphere_area(nu - 1) if nu >= 2 else 2.0
     tail, _ = integrate.quad(
         lambda r: r ** (nu - 1) * (r * r + s * s) ** (-float(j)), R + 0.5, np.inf

@@ -21,14 +21,14 @@ from .errors import DimensionMismatch, ZeroVector
 __all__ = [
     "LatticeVector",
     "Character",
-    "enumerate_shell",
-    "enumerate_ball",
     "vec_gcd",
     "is_primitive",
     "char_pairing",
     "ball_array",
     "ball_chunks",
     "shell_array",
+    "shifted_ball_sq",
+    "row_gcd",
 ]
 
 
@@ -148,90 +148,63 @@ def char_pairing(v: "LatticeVector | Sequence[int]", chi: Character) -> complex:
     return complex(np.exp(2j * np.pi * float(phase)))
 
 
-def enumerate_shell(nu: int, n: int) -> list[LatticeVector]:
-    """All v in Z^nu with |v|^2 = n, in lexicographic order."""
-    if nu < 1:
-        raise ValueError("nu must be >= 1")
-    if n < 0:
-        return []
-    out: list[LatticeVector] = []
-    coords = [0] * nu
+# ---------------------------------------------------------------------------
+# the ball enumerator: every lattice point set is a view of this recursion
+# ---------------------------------------------------------------------------
 
-    def descend(j: int, remaining: int) -> None:
-        if j == nu - 1:
-            r = math.isqrt(remaining)
-            if r * r == remaining:
-                if r == 0:
-                    coords[j] = 0
-                    out.append(LatticeVector(tuple(coords)))
-                else:
-                    coords[j] = -r
-                    out.append(LatticeVector(tuple(coords)))
-                    coords[j] = r
-                    out.append(LatticeVector(tuple(coords)))
-            return
-        bound = math.isqrt(remaining)
-        for c in range(-bound, bound + 1):
-            coords[j] = c
-            descend(j + 1, remaining - c * c)
+CHUNK_ROWS = 1 << 18  # ~8 MB of int64 rows per streamed chunk at nu = 4
 
-    descend(0, n)
-    # the leaf handling above appends -r then +r, which already preserves
-    # lexicographic order within a fixed prefix; sort defensively anyway
-    out.sort(key=lambda v: v.coords)
+
+def _isqrt(a: np.ndarray) -> np.ndarray:
+    """Elementwise floor(sqrt(a)) of a non-negative int64 array, exact."""
+    r = np.sqrt(a).astype(np.int64)
+    r -= r * r > a
+    r += (r + 1) * (r + 1) <= a
+    return r
+
+
+def _complete(prefix: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Each prefix row followed by every last coordinate -r..r, lexicographic."""
+    lengths = 2 * r + 1
+    starts = np.cumsum(lengths) - lengths
+    out = np.empty((int(lengths.sum()), prefix.shape[1] + 1), dtype=np.int64)
+    for j in range(prefix.shape[1]):
+        out[:, j] = np.repeat(prefix[:, j], lengths)
+    out[:, -1] = np.arange(out.shape[0]) - np.repeat(starts + r, lengths)
     return out
 
 
-def enumerate_ball(nu: int, R2: int) -> Iterator[LatticeVector]:
-    """All nonzero v in Z^nu with |v|^2 <= R2, each exactly once (lexicographic)."""
-    if nu < 1:
-        raise ValueError("nu must be >= 1")
-    if R2 < 0:
-        raise ValueError("R2 must be >= 0")
-    coords = [0] * nu
+def _ball_blocks(nu: int, R2: int, max_rows: float) -> Iterator[np.ndarray]:
+    """The ball |v|^2 <= R2 including 0, lexicographic, as consecutive
+    (N, nu) int64 blocks of at most ``max_rows`` rows (more only when a
+    single 1-D line is longer).
 
-    def descend(j: int, remaining: int) -> Iterator[LatticeVector]:
-        if j == nu - 1:
-            bound = math.isqrt(remaining)
-            for c in range(-bound, bound + 1):
-                coords[j] = c
-                v = tuple(coords)
-                if any(v):
-                    yield LatticeVector(v)
-            return
-        bound = math.isqrt(remaining)
-        for c in range(-bound, bound + 1):
-            coords[j] = c
-            yield from descend(j + 1, remaining - c * c)
-
-    yield from descend(0, R2)
-
-
-# ---------------------------------------------------------------------------
-# vectorised helpers (used by the series evaluators)
-# ---------------------------------------------------------------------------
-
-def _slice_rows(nu: int, R2: int, lead: int) -> np.ndarray:
-    """Rows of the ball with first coordinate == lead (including the origin row)."""
-    rem = R2 - lead * lead
-    if rem < 0:
-        return np.empty((0, nu), dtype=np.int64)
+    Each block of the (nu-1)-ball is completed by its lines in the last
+    coordinate, and the lines are cut into blocks without splitting a line.
+    """
+    R = math.isqrt(R2)
     if nu == 1:
-        return np.array([[lead]], dtype=np.int64)
-    sub = _ball_with_origin(nu - 1, rem)
-    out = np.empty((sub.shape[0], nu), dtype=np.int64)
-    out[:, 0] = lead
-    out[:, 1:] = sub
-    return out
+        yield np.arange(-R, R + 1, dtype=np.int64)[:, None]
+        return
+    for prefix in _ball_blocks(nu - 1, R2, max_rows):
+        r = _isqrt(R2 - (prefix * prefix).sum(axis=1))
+        ends = np.cumsum(2 * r + 1)
+        start = 0
+        while start < prefix.shape[0]:
+            done = int(ends[start - 1]) if start else 0
+            stop = max(start + 1, int(np.searchsorted(ends, done + max_rows, side="right")))
+            yield _complete(prefix[start:stop], r[start:stop])
+            start = stop
 
 
 def _ball_with_origin(nu: int, R2: int) -> np.ndarray:
-    """All |v|^2 <= R2 including 0, lexicographic, as an (N, nu) int64 array."""
-    R = math.isqrt(R2)
-    if nu == 1:
-        return np.arange(-R, R + 1, dtype=np.int64)[:, None]
-    parts = [_slice_rows(nu, R2, lead) for lead in range(-R, R + 1)]
-    return np.concatenate(parts, axis=0)
+    """All |v|^2 <= R2 including 0, lexicographic, as an (N, nu) int64 array.
+
+    The ball is symmetric under v -> -v, which reverses lexicographic order,
+    so the origin is the middle row.
+    """
+    (ball,) = _ball_blocks(nu, R2, math.inf)
+    return ball
 
 
 _BALL_CACHE: dict[tuple[int, int], np.ndarray] = {}
@@ -250,7 +223,7 @@ def ball_array(nu: int, R2: int) -> np.ndarray:
     if key in _BALL_CACHE:
         return _BALL_CACHE[key]
     full = _ball_with_origin(nu, R2)
-    arr = full[np.any(full != 0, axis=1)]
+    arr = np.delete(full, full.shape[0] // 2, axis=0)
     arr.setflags(write=False)
     if arr.shape[0] <= 2_000_000 and _BALL_CACHE_ROWS + arr.shape[0] <= _BALL_CACHE_MAX_ROWS:
         _BALL_CACHE[key] = arr
@@ -258,31 +231,66 @@ def ball_array(nu: int, R2: int) -> np.ndarray:
     return arr
 
 
-def ball_chunks(nu: int, R2: int, max_rows: int = 2_000_000) -> Iterator[np.ndarray]:
-    """Yield the nonzero ball in lexicographic chunks without holding it whole."""
-    R = math.isqrt(R2)
-    buf: list[np.ndarray] = []
-    rows = 0
-    for lead in range(-R, R + 1):
-        part = _slice_rows(nu, R2, lead)
-        if lead == 0:
-            mask = np.any(part != 0, axis=1)
-            part = part[mask]
-        buf.append(part)
-        rows += part.shape[0]
-        if rows >= max_rows:
-            yield np.concatenate(buf, axis=0)
-            buf, rows = [], 0
-    if rows:
-        yield np.concatenate(buf, axis=0)
+def ball_chunks(nu: int, R2: int, max_rows: int = CHUNK_ROWS) -> Iterator[np.ndarray]:
+    """Yield the nonzero ball in lexicographic chunks of at most ``max_rows``
+    rows (more only when a single 1-D line is longer), never holding it whole."""
+    origin = (0,) * nu
+    for block in _ball_blocks(nu, R2, max_rows):
+        if tuple(block[0]) <= origin <= tuple(block[-1]):
+            block = block[block.any(axis=1)]
+        if block.shape[0]:
+            yield block
+
+
+def shifted_ball_sq(nu: int, chi: Character, R: float) -> Iterator[np.ndarray]:
+    """Yield |m + alpha|^2 for every m in Z^nu with |m + alpha|^2 <= R^2,
+    origin included, in float64 chunks."""
+    alphas = np.array([float(a) for a in chi.alpha])
+    a2 = float((alphas**2).sum())
+    if a2 <= R * R:
+        yield np.array([a2])
+    for chunk in ball_chunks(nu, int(math.ceil((R + math.sqrt(a2)) ** 2))):
+        sq = ((chunk + alphas) ** 2).sum(axis=1)
+        yield sq[sq <= R * R]
+
+
+def _shell_rows(sub: np.ndarray, n: int) -> np.ndarray:
+    """The rows of ``sub`` completed to |v|^2 = n by one more coordinate."""
+    rem = n - (sub * sub).sum(axis=1)
+    r = _isqrt(rem)
+    hit = r * r == rem
+    sub, r = sub[hit], r[hit]
+    reps = np.where(r > 0, 2, 1)
+    last = np.repeat(r, reps)
+    last[(np.cumsum(reps) - reps)[r > 0]] *= -1
+    out = np.empty((last.shape[0], sub.shape[1] + 1), dtype=np.int64)
+    out[:, :-1] = np.repeat(sub, reps, axis=0)
+    out[:, -1] = last
+    return out
 
 
 def shell_array(nu: int, n: int) -> np.ndarray:
-    """The shell |v|^2 = n as an (N, nu) int64 array."""
-    vs = enumerate_shell(nu, n)
-    if not vs:
+    """The shell |v|^2 = n as an (N, nu) int64 array in lexicographic order.
+
+    Each row of the (nu-1)-ball, streamed in chunks, whose remainder
+    n - |row|^2 is a square r^2 completes to the rows (row, -r) and (row, r),
+    or to (row, 0) when r = 0.
+    """
+    if nu < 1:
+        raise ValueError("nu must be >= 1")
+    if n < 0:
         return np.empty((0, nu), dtype=np.int64)
-    return np.array([v.coords for v in vs], dtype=np.int64)
+    if nu == 1:
+        return _shell_rows(np.zeros((1, 0), dtype=np.int64), n)
+    return np.concatenate([_shell_rows(sub, n) for sub in _ball_blocks(nu - 1, n, CHUNK_ROWS)])
+
+
+def row_gcd(rows: np.ndarray) -> np.ndarray:
+    """gcd of |coords| for every row (0 for the zero row), by folding columns."""
+    g = np.abs(rows[:, 0])
+    for j in range(1, rows.shape[1]):
+        g = np.gcd(g, rows[:, j])
+    return g
 
 
 def pairing_phases(chunk: np.ndarray, chi: Character) -> np.ndarray:

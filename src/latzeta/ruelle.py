@@ -17,7 +17,7 @@ import numpy as np
 from scipy import integrate
 
 from . import lattice
-from .arith import ensure_sieve, moebius
+from .arith import ensure_sieve
 from .errors import DomainError
 from .lattice import Character, _as_character
 from .special import gamma_half, sphere_area
@@ -31,7 +31,6 @@ __all__ = [
     "log_G",
     "log_L",
     "log_L_routes",
-    "phi",
     "log_deriv_L",
     "C_const",
 ]
@@ -115,11 +114,11 @@ def _ball_weighted_sum(
     chi: Character,
     weight,
 ) -> complex:
-    """sum over nonzero |n|^2 <= R2 of weight(|n|, gcd) * exp(2 pi i <n, alpha>).
+    """sum over nonzero |n|^2 <= R2 of weight(|n|, n) * exp(2 pi i <n, alpha>).
 
-    ``weight(norms, gcds)`` receives float64/int64 arrays and returns weights.
-    Deterministic (lexicographic order); moderate balls come from the shared
-    cache, large ones are streamed in chunks.
+    ``weight(norms, rows)`` receives the float64 norms and the int64 rows and
+    returns weights.  Deterministic (lexicographic order); moderate balls come
+    from the shared cache, large ones are streamed in chunks.
     """
     total = 0j
     if _ball_size(nu, R2) <= 2_000_000:
@@ -128,8 +127,7 @@ def _ball_weighted_sum(
         chunks = lattice.ball_chunks(nu, R2)
     for chunk in chunks:
         norms = np.sqrt((chunk.astype(np.float64) ** 2).sum(axis=1))
-        gcds = np.gcd.reduce(np.abs(chunk), axis=1)
-        w = weight(norms, gcds)
+        w = weight(norms, chunk)
         ph = lattice.pairing_phases(chunk, chi)
         total += complex((w * ph).sum())
     return total
@@ -147,15 +145,9 @@ def g_direct(s: complex, chi: Character | None, nu: int, tr: Truncation | None =
     tr = tr or default_truncation(s)
     chi = _as_character(chi, nu)
     R2 = int(math.ceil(tr.radius**2))
-    val = _ball_weighted_sum(nu, R2, chi, lambda norms, g: np.exp(-s * norms))
+    val = _ball_weighted_sum(nu, R2, chi, lambda norms, rows: np.exp(-s * norms))
     tail = _exp_tail_estimate(nu, s.real, tr.radius)
     return SeriesValue(val, _ball_size(nu, R2), tail)
-
-
-def _g_direct_deriv(s: complex, chi: Character, nu: int, tr: Truncation) -> complex:
-    """g'(s, alpha) = -sum |n| exp(2 pi i <n, alpha>) e^{-s |n|}."""
-    R2 = int(math.ceil(tr.radius**2))
-    return _ball_weighted_sum(nu, R2, chi, lambda norms, g: -norms * np.exp(-s * norms))
 
 
 # ---------------------------------------------------------------------------
@@ -206,35 +198,20 @@ def _dual_sum_ewald(s: complex, chi: Character, nu: int) -> tuple[complex, float
     return val, err
 
 
-def _box_chunks(nu: int, R: int, max_rows: int = 2_000_000):
-    """The full box {-R..R}^nu (origin included) in lexicographic float chunks."""
-    line = np.arange(-R, R + 1, dtype=np.float64)
-    if nu == 1:
-        yield line[:, None]
-        return
-    rows_per_lead = (2 * R + 1) ** (nu - 1)
-    leads_per_chunk = max(1, max_rows // rows_per_lead)
-    sub = np.stack([g.ravel() for g in np.meshgrid(*[line] * (nu - 1), indexing="ij")], axis=1)
-    for i in range(0, 2 * R + 1, leads_per_chunk):
-        leads = line[i : i + leads_per_chunk]
-        out = np.empty((leads.size * sub.shape[0], nu))
-        for j, l in enumerate(leads):
-            out[j * sub.shape[0] : (j + 1) * sub.shape[0], 0] = l
-            out[j * sub.shape[0] : (j + 1) * sub.shape[0], 1:] = sub
-        yield out
-
-
-def _dual_sum_truncated(s: complex, chi: Character, nu: int, radius: float) -> tuple[complex, float]:
-    """Plain truncated dual sum with the integral-comparison tail estimate."""
+def _dual_sum_truncated(s: complex, chi: Character, nu: int, radius: float) -> tuple[complex, float, int]:
+    """The dual sum over the shifted ball |m + alpha| <= R = ceil(radius), with
+    the integral-comparison tail estimate for the region outside it and the
+    number of terms summed.  The integral starts half a cell early, which keeps
+    the estimate above the lattice tail's boundary fluctuations."""
     R = int(math.ceil(radius))
-    alphas = np.array([float(a) for a in chi.alpha])
     t = (nu + 1) / 2.0
     total = 0j
-    for pts in _box_chunks(nu, R):
-        sq = ((pts + alphas) ** 2).sum(axis=1)
+    terms = 0
+    for sq in lattice.shifted_ball_sq(nu, chi, R):
         total += complex(np.sum((s * s + 4.0 * math.pi**2 * sq) ** (-t)))
-    tail = (sphere_area(nu - 1) if nu >= 2 else 2.0) * (2.0 * math.pi) ** (-(nu + 1)) / max(R, 1)
-    return total, tail
+        terms += sq.shape[0]
+    tail = (sphere_area(nu - 1) if nu >= 2 else 2.0) * (2.0 * math.pi) ** (-(nu + 1)) / max(R - 0.5, 1)
+    return total, tail, terms
 
 
 def g_poisson(s: complex, chi: Character | None, nu: int, tr: Truncation | None = None) -> SeriesValue:
@@ -244,7 +221,8 @@ def g_poisson(s: complex, chi: Character | None, nu: int, tr: Truncation | None 
 
     The dual sum is evaluated by an incomplete-gamma/theta split (exact up to
     quadrature error) when Re(s^2) > 0; otherwise it falls back to the plain
-    truncated dual sum, whose tail estimate is honest but only ~1/radius.
+    truncated dual sum over the shifted ball |m + alpha| <= radius, whose tail
+    estimate is honest but only ~1/radius.
     """
     s = _require_right_half(s)
     tr = tr or default_truncation(s)
@@ -254,8 +232,7 @@ def g_poisson(s: complex, chi: Character | None, nu: int, tr: Truncation | None 
         D, err = _dual_sum_ewald(s, chi, nu)
         terms = 0
     else:
-        D, err = _dual_sum_truncated(s, chi, nu, tr.radius)
-        terms = (2 * int(math.ceil(tr.radius)) + 1) ** nu
+        D, err, terms = _dual_sum_truncated(s, chi, nu, tr.radius)
     val = prefac * D - 1.0
     # the subtraction cancels to rounding once g is tiny (large Re s); the
     # estimate carries that floor so it stays honest there
@@ -302,8 +279,7 @@ def _log_L_euler(s: complex, chi: Character, nu: int, tr: Truncation) -> SeriesV
     total = 0j
     count = 0
     for chunk in lattice.ball_chunks(nu, R2):
-        g = np.gcd.reduce(np.abs(chunk), axis=1)
-        prim = chunk[g == 1]
+        prim = chunk[lattice.row_gcd(chunk) == 1]
         norms = np.sqrt((prim.astype(np.float64) ** 2).sum(axis=1))
         ph = lattice.pairing_phases(prim, chi)
         total += complex(-np.log1p(-ph * np.exp(-s * norms)).sum())
@@ -314,12 +290,12 @@ def _log_L_euler(s: complex, chi: Character, nu: int, tr: Truncation) -> SeriesV
 
 def _log_L_mobius(s: complex, chi: Character, nu: int, tr: Truncation) -> SeriesValue:
     """sum_m mu(m) log G(m s, m alpha)."""
-    ensure_sieve(tr.mobius_limit)
+    st = ensure_sieve(tr.mobius_limit)
     total = 0j
     terms = 0
     tail = 0.0
     for m in range(1, tr.mobius_limit + 1):
-        mu = moebius(m)
+        mu = int(st.mu[m])
         if mu == 0:
             continue
         if (m * s).real > 50.0:
@@ -336,7 +312,7 @@ def _log_L_series(s: complex, chi: Character, nu: int, tr: Truncation) -> Series
     """sum_n M_nu(n, alpha, 1) e^{-s sqrt(n)} as a gcd-weighted ball sum."""
     R2 = int(math.ceil(tr.radius**2))
     val = _ball_weighted_sum(
-        nu, R2, chi, lambda norms, g: np.exp(-s * norms) / g.astype(np.float64)
+        nu, R2, chi, lambda norms, rows: np.exp(-s * norms) / lattice.row_gcd(rows)
     )
     tail = _exp_tail_estimate(nu, s.real, tr.radius)
     return SeriesValue(val, _ball_size(nu, R2), tail)
@@ -369,65 +345,6 @@ def log_L_routes(
 # ---------------------------------------------------------------------------
 
 
-def phi(
-    s: complex,
-    chi: Character | None,
-    t: float,
-    nu: int,
-    tr: Truncation | None = None,
-) -> SeriesValue:
-    """Phi(s, alpha, t; nu) by brute double truncation (exploratory quality).
-
-    n runs to mobius_limit, m over |m| <= n * radius; the reported tail is
-    the magnitude of the last n-block (a partial-sum delta, not a bound).
-    For the trivial character the m-sum is regrouped by shells through the
-    exact count tables once n * radius is large; otherwise the naive
-    per-vector loop is used.
-    """
-    s = _require_right_half(s)
-    if t < (nu + 1) / 2:
-        raise DomainError("need t >= (nu+1)/2")
-    tr = tr or default_truncation(s)
-    chi = _as_character(chi, nu)
-    st = ensure_sieve(tr.mobius_limit)
-    alphas = np.array([float(a) for a in chi.alpha])
-    total = 0j
-    last_block = 0.0
-    terms = 0
-    for n in range(1, tr.mobius_limit + 1):
-        gam = float(st.gam[n])
-        R = int(math.ceil(n * tr.radius))
-        block = 0j
-        count = 0
-        # shell grouping costs O(R^3) per block (count-table build) and the
-        # naive ball O(R^nu), so it only pays off for nu >= 2
-        if chi.is_zero() and R > 64 and nu >= 2:
-            block, count = _phi_block_by_shell(s, t, nu, n, R)
-        else:
-            for pts in _box_chunks(nu, R):
-                inside = (pts**2).sum(axis=1) <= R * R
-                pts = pts[inside]
-                sq = ((pts / n + alphas) ** 2).sum(axis=1)
-                block += complex(np.sum((s * s + 4.0 * math.pi**2 * sq) ** (-t)))
-                count += pts.shape[0]
-        contrib = gam / float(n) ** (nu + 1) * block
-        total += contrib
-        last_block = abs(contrib)
-        terms += count
-    return SeriesValue(total, terms, last_block)
-
-
-def _phi_block_by_shell(s: complex, t: float, nu: int, n: int, R: int) -> tuple[complex, int]:
-    """sum over |m| <= R (a ball, m = 0 included) of (s^2 + (2 pi |m|/n)^2)^{-t}
-    grouped by shells; alpha = 0 only."""
-    from .arith import r_table
-
-    counts = r_table(nu, R * R).astype(np.float64)
-    j = np.arange(0, R * R + 1, dtype=np.float64)
-    vals = (s * s + 4.0 * math.pi**2 * j / (n * n)) ** (-t)
-    return complex((counts * vals).sum()), int(counts.sum())
-
-
 def _phi_dual_pair(
     s: complex, chi: Character, nu: int, tr: Truncation
 ) -> tuple[complex, complex]:
@@ -458,9 +375,9 @@ def _phi_dual_pair(
         sub = Truncation(max(2.0, tr.radius / n), tr.ell_limit, tr.mobius_limit, tr.tol)
         chin = chi.scaled(n)
         sub_R2 = int(math.ceil(sub.radius**2))
-        e0 = _ball_weighted_sum(nu, sub_R2, chin, lambda norms, g: np.exp(-(n * s) * norms))
+        e0 = _ball_weighted_sum(nu, sub_R2, chin, lambda norms, rows: np.exp(-(n * s) * norms))
         e1 = _ball_weighted_sum(
-            nu, sub_R2, chin, lambda norms, g: (n * norms) * np.exp(-(n * s) * norms)
+            nu, sub_R2, chin, lambda norms, rows: (n * norms) * np.exp(-(n * s) * norms)
         )
         # Phi_1 n-term: gam/n * pref/s * (1 + e0)
         phi1 += gam / n * pref / s * (1.0 + e0)

@@ -112,13 +112,11 @@ def _partial_sum_sweep(nu: int, X: int, x: float) -> float:
         ks = np.arange(1, R + 1, dtype=np.float64)
         return float(2.0 * (ks ** (-float(x))).sum())
     # slice over the leading coordinate; inner box enumerated per slice
-    from .lattice import _ball_with_origin
+    from .lattice import _ball_with_origin, row_gcd
 
     for lead in range(-R, R + 1):
         rem = X - lead * lead
-        sub = _ball_with_origin(nu - 1, rem)
-        g0 = np.gcd.reduce(np.abs(sub), axis=1) if nu > 2 else np.abs(sub[:, 0])
-        g = np.gcd(np.int64(abs(lead)), g0)
+        g = np.gcd(np.int64(abs(lead)), row_gcd(_ball_with_origin(nu - 1, rem)))
         w = g.astype(np.float64)
         mask = g > 0
         total += float((w[mask] ** (-float(x))).sum())

@@ -53,6 +53,20 @@ class TestMoebiusGamma:
         assert arith.gamma_mult(1000003) == -1000002
         assert arith.moebius(1000003) == -1
 
+    def test_sieve_sized_to_request_and_doubling(self, monkeypatch):
+        monkeypatch.setattr(arith, "_SIEVE", None)
+        assert arith.moebius(7) == -1 and arith.gamma_mult(6) == 2
+        small = arith._SIEVE.limit
+        assert small < 1000
+        grown = arith.ensure_sieve(small + 1)
+        assert grown.limit >= 2 * small
+        builds = 0
+        for d in range(1, 601):
+            before = arith._SIEVE
+            arith.moebius(d)
+            builds += arith._SIEVE is not before
+        assert builds <= 10
+
     def test_sieve_table_invariants(self):
         N = 10**4
         st_ = arith.ensure_sieve(N)  # shared table; may extend beyond N

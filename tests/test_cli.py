@@ -97,6 +97,14 @@ class TestBoundaryCommand:
         code, _, err = run_cli(["boundary", "--nu", "6", "--m", "1", "--n", "1"], capsys)
         assert code == 3
 
+    def test_prime_factor_above_default_limit(self, capsys):
+        # 101 exceeds the default --prime-limit 100; the limit extends to it
+        code, out, _ = run_cli(["boundary", "--nu", "2", "--m", "101", "--n", "1"], capsys)
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["prime_limit"] == 101 and doc["verdict"] is True
+        jsonschema.validate(doc, boundary.certificate_schema())
+
     def test_not_coprime_exits_4(self, capsys):
         code, _, _ = run_cli(["boundary", "--nu", "4", "--m", "2", "--n", "4"], capsys)
         assert code == 4
@@ -195,12 +203,15 @@ class TestConfig:
         assert out.startswith("nu,x,X,")
 
     def test_unknown_key_rejected(self, tmp_path, capsys):
-        cfg = tmp_path / "bad.conf"
-        cfg.write_text("no_such_key = 1\n")
-        code, _, _ = run_cli(
-            ["--config", str(cfg), "tauber", "--nu", "2", "--x", "1", "--X", "10"], capsys
-        )
-        assert code == 2
+        # sieve_limit and threads were keys that took no effect; they are gone
+        for key in ("no_such_key", "sieve_limit", "threads"):
+            cfg = tmp_path / "bad.conf"
+            cfg.write_text(f"{key} = 1\n")
+            code, _, err = run_cli(
+                ["--config", str(cfg), "tauber", "--nu", "2", "--x", "1", "--X", "10"], capsys
+            )
+            assert code == 2
+            assert f"unknown config key: {key}" in err
 
     def test_deterministic_output(self, tmp_path):
         # identical inputs produce byte-identical output files

@@ -2,14 +2,15 @@ import cmath
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from scipy import integrate
 from scipy.special import j0 as scipy_j0
 
-from latzeta import detlap
+from latzeta import arith, detlap
 from latzeta.errors import DomainError
 from latzeta.lattice import Character
-from latzeta.special import bessel_K
+from latzeta.special import bessel_K, bessel_K_array, sphere_area
 
 
 class TestCCoeff:
@@ -182,20 +183,71 @@ class TestSpectralSum:
         with pytest.raises(DomainError):
             detlap.spectral_sum(3, None, 1.0, 1)  # j <= nu/2
 
+    def test_streamed_ball_equals_box_and_mask(self):
+        # the box {-ceil(R)-1..ceil(R)+1}^nu masked to |m + alpha| <= R holds
+        # the same points as the streamed shifted ball; only the summation
+        # order differs
+        cases = [(2, (Fraction(1, 3), Fraction(1, 2)), 0.8, 2, 120.0),
+                 (3, (Fraction(1, 4), Fraction(2, 3), Fraction(0)), 1.1, 2, 40.0)]
+        for nu, alpha, s, j, R in cases:
+            alphas = np.array([float(a) for a in alpha])
+            line = np.arange(-math.ceil(R) - 1, math.ceil(R) + 2, dtype=np.float64)
+            box = np.stack(np.meshgrid(*[line] * nu, indexing="ij"), axis=-1).reshape(-1, nu)
+            sq = ((box + alphas) ** 2).sum(axis=1)
+            want = float(np.sum((sq[sq <= R * R] + s * s) ** (-float(j))))
+            tail, _ = integrate.quad(lambda r: r ** (nu - 1) * (r * r + s * s) ** (-float(j)), R + 0.5, np.inf)
+            want += sphere_area(nu - 1) * tail
+            got = detlap.spectral_sum(nu, Character(alpha), s, j, radius=R)
+            assert abs(got - want) <= 1e-13 * abs(want)
+
+
+def log_det_odd_by_shell(ell, chi, s):
+    """log_det_odd with its lattice sum grouped by shells through r_twisted."""
+    nu = 2 * ell + 1
+    R2 = int(math.ceil(detlap.det_truncation(s).radius ** 2))
+    cs = [float(detlap.c_coeff(ell, k)) for k in range(ell + 1)]
+    dfact = math.prod(range(2 * ell + 1, 0, -2))
+    lead = -((-2.0 * math.pi) ** (ell + 1)) / dfact * s ** (2 * ell + 1)
+    acc = 0j
+    for n in range(1, R2 + 1):
+        rt = arith.r_twisted(nu, n, chi)
+        if rt == 0:
+            continue
+        rn = math.sqrt(n)
+        poly = sum(c * (2.0 * math.pi * rn) ** (-k) * s ** (ell - k) for k, c in enumerate(cs))
+        acc += rt * rn ** (-(ell + 1)) * poly * np.exp(-2.0 * math.pi * rn * s)
+    return lead - acc
+
+
+def log_det_even_by_shell(ell, chi, s):
+    """log_det_even with its lattice sum grouped by shells through r_twisted."""
+    nu = 2 * ell
+    R2 = int(math.ceil(detlap.det_truncation(s).radius ** 2))
+    lead = 2.0 * (-1.0) ** ell * math.pi**ell / math.factorial(ell) * s ** (2 * ell) * math.log(s)
+    acc = 0.0
+    for n in range(1, R2 + 1):
+        rt = arith.r_twisted(nu, n, chi)
+        if rt == 0:
+            continue
+        rn = math.sqrt(n)
+        kv = float(bessel_K_array(ell, np.array([2.0 * math.pi * rn * s]))[0])
+        acc += rt.real * rn ** (-ell) * kv
+    return lead - 2.0 * s**ell * acc
+
 
 class TestShellRegrouping:
     def test_odd_vectorwise_equals_shell(self):
         chi = Character((Fraction(1, 3), Fraction(0), Fraction(1, 2)))
         for s in (0.9, 1.4):
             a = detlap.log_det_odd(1, chi, s)
-            b = detlap.log_det_odd(1, chi, s, by_shell=True)
+            b = log_det_odd_by_shell(1, chi, s)
             assert abs(a - b) <= 1e-12 * max(1.0, abs(a))
 
     def test_even_vectorwise_equals_shell(self):
         chi = Character((Fraction(1, 4), Fraction(1, 3)))
         for s in (0.9, 1.4):
             a = detlap.log_det_even(1, chi, s)
-            b = detlap.log_det_even(1, chi, s, by_shell=True)
+            b = log_det_even_by_shell(1, chi, s)
             assert abs(a - b) <= 1e-12 * max(1.0, abs(a))
 
 

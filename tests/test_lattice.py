@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -5,21 +6,68 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from latzeta import lattice
+from latzeta import arith, lattice
 from latzeta.errors import DimensionMismatch, ZeroVector
 from latzeta.lattice import Character, LatticeVector
 
 
-def coords(vs):
-    return [v.coords for v in vs]
+def rows(arr):
+    return [tuple(int(c) for c in row) for row in arr]
+
+
+# Brute oracle: a pure-Python recursion over coordinates, independent of the
+# numpy enumerator it checks; lexicographic because each coordinate ascends.
+
+
+def brute_shell(nu, n):
+    """All v in Z^nu with |v|^2 = n, in lexicographic order."""
+    if n < 0:
+        return []
+    out = []
+    coords = [0] * nu
+
+    def descend(j, remaining):
+        if j == nu - 1:
+            r = math.isqrt(remaining)
+            if r * r == remaining:
+                for c in sorted({-r, r}):
+                    coords[j] = c
+                    out.append(tuple(coords))
+            return
+        bound = math.isqrt(remaining)
+        for c in range(-bound, bound + 1):
+            coords[j] = c
+            descend(j + 1, remaining - c * c)
+
+    descend(0, n)
+    return out
+
+
+def brute_ball(nu, R2):
+    """All nonzero v in Z^nu with |v|^2 <= R2, in lexicographic order."""
+    out = []
+    coords = [0] * nu
+
+    def descend(j, remaining):
+        bound = math.isqrt(remaining)
+        for c in range(-bound, bound + 1):
+            coords[j] = c
+            if j == nu - 1:
+                if any(coords):
+                    out.append(tuple(coords))
+            else:
+                descend(j + 1, remaining - c * c)
+
+    descend(0, R2)
+    return out
 
 
 class TestEnumerateShell:
     def test_norm_one_in_2d(self):
-        assert coords(lattice.enumerate_shell(2, 1)) == [(-1, 0), (0, -1), (0, 1), (1, 0)]
+        assert rows(lattice.shell_array(2, 1)) == [(-1, 0), (0, -1), (0, 1), (1, 0)]
 
     def test_zero_shell(self):
-        assert coords(lattice.enumerate_shell(2, 0)) == [(0, 0)]
+        assert rows(lattice.shell_array(2, 0)) == [(0, 0)]
 
     def test_count_n25(self):
         # brute-force oracle over |m_i| <= 5
@@ -29,58 +77,94 @@ class TestEnumerateShell:
             for b in range(-5, 6)
             if a * a + b * b == 25
         ]
-        got = lattice.enumerate_shell(2, 25)
+        got = lattice.shell_array(2, 25)
         assert len(got) == len(brute) == 12
-        assert coords(got) == sorted(brute)
+        assert rows(got) == sorted(brute)
 
     def test_deterministic_and_sorted(self):
-        a = coords(lattice.enumerate_shell(3, 14))
-        b = coords(lattice.enumerate_shell(3, 14))
+        a = rows(lattice.shell_array(3, 14))
+        b = rows(lattice.shell_array(3, 14))
         assert a == b == sorted(a)
 
     def test_empty_shell(self):
-        assert lattice.enumerate_shell(2, 3) == []
+        assert rows(lattice.shell_array(2, 3)) == []
 
     @given(st.integers(1, 4), st.integers(1, 60))
     @settings(max_examples=40, deadline=None)
     def test_shell_members_have_requested_norm(self, nu, n):
-        for v in lattice.enumerate_shell(nu, n):
-            assert v.squared_norm == n
+        for v in lattice.shell_array(nu, n):
+            assert LatticeVector(tuple(int(c) for c in v)).squared_norm == n
 
     def test_count_invariant_under_coordinate_permutation(self):
         # the shell is symmetric under coordinate permutation
         for n in (5, 9, 14):
-            vs = set(coords(lattice.enumerate_shell(3, n)))
+            vs = set(rows(lattice.shell_array(3, n)))
             assert all(tuple(reversed(v)) in vs for v in vs)
+
+    def test_matches_brute_oracle(self):
+        for nu in range(1, 9):
+            for n in (-1, 0, 1, 2, 3, 4, 7, 9, 12) + ((25, 50) if nu <= 4 else ()):
+                got = lattice.shell_array(nu, n)
+                assert got.shape == (len(brute_shell(nu, n)), nu)
+                assert rows(got) == brute_shell(nu, n), (nu, n)
 
 
 class TestEnumerateBall:
     def test_dim1(self):
-        assert coords(lattice.enumerate_ball(1, 4)) == [(-2,), (-1,), (1,), (2,)]
+        assert rows(lattice.ball_array(1, 4)) == [(-2,), (-1,), (1,), (2,)]
 
     def test_count_2d(self):
-        assert sum(1 for _ in lattice.enumerate_ball(2, 2)) == 8
+        assert lattice.ball_array(2, 2).shape[0] == 8
 
     def test_count_3d(self):
-        assert sum(1 for _ in lattice.enumerate_ball(3, 1)) == 6
+        assert lattice.ball_array(3, 1).shape[0] == 6
 
     def test_excludes_origin_and_matches_shells(self):
         R2 = 12
-        ball = coords(lattice.enumerate_ball(3, R2))
+        ball = rows(lattice.ball_array(3, R2))
         assert (0, 0, 0) not in ball
         assert len(ball) == len(set(ball))
-        by_shell = sum(len(lattice.enumerate_shell(3, n)) for n in range(1, R2 + 1))
+        by_shell = sum(lattice.shell_array(3, n).shape[0] for n in range(1, R2 + 1))
         assert len(ball) == by_shell
 
     def test_ball_array_matches_iterator(self):
-        arr = lattice.ball_array(2, 9)
-        it = np.array(coords(lattice.enumerate_ball(2, 9)))
-        assert np.array_equal(arr, it)
+        assert rows(lattice.ball_array(2, 9)) == brute_ball(2, 9)
 
     def test_ball_chunks_concatenate_to_ball_array(self):
         chunks = list(lattice.ball_chunks(3, 16, max_rows=50))
         cat = np.concatenate(chunks, axis=0)
         assert np.array_equal(cat, lattice.ball_array(3, 16))
+
+    def test_matches_brute_oracle(self):
+        for nu in range(1, 9):
+            for R2 in (0, 1, 2, 3, 5) + ((9, 17, 25) if nu <= 5 else ()):
+                want = np.array(brute_ball(nu, R2), dtype=np.int64).reshape(-1, nu)
+                assert np.array_equal(lattice.ball_array(nu, R2), want), (nu, R2)
+                line = 2 * math.isqrt(R2) + 1
+                for max_rows in (1, 7, 50, 10**6):
+                    chunks = list(lattice.ball_chunks(nu, R2, max_rows=max_rows))
+                    assert all(0 < c.shape[0] <= max(max_rows, line) for c in chunks)
+                    got = np.concatenate(chunks) if chunks else np.empty((0, nu), dtype=np.int64)
+                    assert np.array_equal(got, want), (nu, R2, max_rows)
+
+    def test_chunks_bounded_in_five_dimensions(self):
+        # every chunk stays within max_rows even where one lead slice is a
+        # whole 4-ball of ~8e5 rows; the stream is the ball in strictly
+        # increasing lexicographic order (checked through an order-preserving
+        # integer key) with the exact point count, so it equals
+        # ball_array(5, 400) without holding its 1.7e7 rows at once
+        R2, max_rows = 400, 1000
+        weights = 43 ** np.arange(4, -1, -1)  # coordinates lie in -20..20
+        count, last = 0, -1
+        for chunk in lattice.ball_chunks(5, R2, max_rows=max_rows):
+            assert chunk.shape[0] <= max_rows
+            sq = (chunk * chunk).sum(axis=1)
+            assert sq.min() >= 1 and sq.max() <= R2
+            keys = (chunk + 21) @ weights
+            assert keys[0] > last and np.all(np.diff(keys) > 0)
+            last = keys[-1]
+            count += chunk.shape[0]
+        assert count == int(arith.r_table(5, R2)[1:].sum())
 
 
 class TestGcdPrimitive:

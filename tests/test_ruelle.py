@@ -4,10 +4,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from latzeta import lattice, ruelle
+from latzeta import arith, lattice, ruelle
 from latzeta.errors import DomainError
 from latzeta.lattice import Character
 from latzeta.ruelle import Truncation
+from latzeta.special import sphere_area
 
 GRID_S = (0.8, 1.5, 3.0)
 
@@ -93,6 +94,15 @@ class TestGPoisson:
         d = ruelle.g_direct(s, None, 1)
         assert abs(g.value - d.value) < g.tail_estimate + d.tail_estimate
 
+    def test_truncated_fallback_sums_the_ball(self):
+        # nu = 2: the dual sum runs over |m| <= 200 only, and its tail estimate
+        # still covers the gap to a converged direct sum
+        s = 0.2 + 1.5j
+        g = ruelle.g_poisson(s, None, 2)
+        assert g.terms == int(arith.r_table(2, 200**2).sum())
+        d = ruelle.g_direct(s, None, 2, Truncation(radius=220, ell_limit=1, mobius_limit=1))
+        assert abs(g.value - d.value) < g.tail_estimate
+
 
 class TestLogG:
     def test_one_dim_value(self):
@@ -170,49 +180,58 @@ class TestLogL:
 
 
 class TestPhi:
+    """The Phi pair behind L'/L, as ``_phi_dual_pair`` evaluates it: each
+    n-block is the full m-sum in its exact dual form."""
+
     def test_one_n_term_partial_fraction(self):
-        # n=1 only, nu=1, t=1, s=1: sum_m (1+(2 pi m)^2)^{-1} = coth(1/2)/2
-        tr = Truncation(radius=4000.0, ell_limit=1, mobius_limit=1)
-        p = ruelle.phi(1.0, None, 1.0, 1, tr)
-        assert p.value.real == pytest.approx(1 / math.tanh(0.5) / 2, rel=1e-4)
+        # n=1 only, nu=1, t=1, s=1: sum_m (1+(2 pi m)^2)^{-1} = coth(1/2)/2;
+        # the dual k-sum carries e^{-|k|}, so radius 40 is converged
+        tr = Truncation(radius=40.0, ell_limit=1, mobius_limit=1)
+        p, _ = ruelle._phi_dual_pair(1.0, Character.zero(1), 1, tr)
+        assert p.real == pytest.approx(1 / math.tanh(0.5) / 2, rel=1e-4)
 
     def test_monotone_decrease_in_s_positive_terms(self):
         # every summand (s^2 + (2 pi |m/n + a|)^2)^{-t} decreases in s; the
         # full series has signed gamma(n) weights, so monotonicity is only
-        # guaranteed where the weights are positive (here: the n = 1 block)
+        # guaranteed where the weights are positive (here: the n = 1 block,
+        # t = 2 = (nu+3)/2 at nu = 1)
         tr = Truncation(radius=30.0, ell_limit=1, mobius_limit=1)
-        vals = [ruelle.phi(s, None, 2.0, 1, tr).value.real for s in (1.0, 1.5, 2.0, 3.0)]
+        vals = [ruelle._phi_dual_pair(s, Character.zero(1), 1, tr)[1].real for s in (1.0, 1.5, 2.0, 3.0)]
         assert all(a > b > 0 for a, b in zip(vals, vals[1:]))
 
     def test_shell_grouping_matches_naive_loop(self):
-        # alpha = 0 blocks regroup by shell above n*radius = 64; force both
-        # paths over the same truncation and compare
-        s, t, nu = 1.1, 2.0, 2
-        tr = Truncation(radius=40.0, ell_limit=1, mobius_limit=3)  # R = 40..120
-        grouped = ruelle.phi(s, None, t, nu, tr)
-        naive = 0j
-        st = __import__("latzeta.arith", fromlist=["ensure_sieve"]).ensure_sieve(3)
+        # alpha = 0: the per-vector ball sums of each n-block regrouped by
+        # shells through the exact count tables
+        s, nu = 1.1, 2
+        tr = Truncation(radius=40.0, ell_limit=1, mobius_limit=3)
+        p1, p2 = ruelle._phi_dual_pair(s, Character.zero(nu), nu, tr)
+        st = arith.ensure_sieve(3)
+        pref = sphere_area(nu) / (2 * (2 * math.pi) ** nu)
+        w1 = w2 = 0j
         for n in (1, 2, 3):
-            R = int(math.ceil(n * tr.radius))
-            block = 0j
-            for pts in ruelle._box_chunks(nu, R):
-                pts = pts[(pts**2).sum(axis=1) <= R * R]
-                sq = ((pts / n) ** 2).sum(axis=1)
-                block += complex(np.sum((s * s + 4 * math.pi**2 * sq) ** (-t)))
-            naive += float(st.gam[n]) / n ** (nu + 1) * block
-        assert abs(grouped.value - naive) < 1e-12 * abs(naive)
+            R2 = int(math.ceil(max(2.0, tr.radius / n) ** 2))
+            counts = arith.r_table(nu, R2)[1:]
+            norms = np.sqrt(np.arange(1, R2 + 1, dtype=np.float64))
+            e0 = complex((counts * np.exp(-n * s * norms)).sum())
+            e1 = complex((counts * n * norms * np.exp(-n * s * norms)).sum())
+            gam = float(st.gam[n])
+            w1 += gam / n * pref / s * (1 + e0)
+            w2 += gam / n * pref / ((nu + 1) * s) * ((1 + e0) / s**2 + e1 / s)
+        assert abs(p1 - w1) < 1e-12 * abs(w1)
+        assert abs(p2 - w2) < 1e-12 * abs(w2)
 
     def test_large_s_power_law(self):
-        # every term of the truncated series scales like s^{-2t} as s -> inf
+        # the full m-sum of each n-block scales like s^{nu-2t} as s -> inf
+        # (t = (nu+3)/2 = 2 at nu = 1)
         tr = Truncation(radius=2.0, ell_limit=1, mobius_limit=10)
-        t = 2.0
-        a = ruelle.phi(200.0, None, t, 1, tr).value.real
-        b = ruelle.phi(400.0, None, t, 1, tr).value.real
-        assert a / b == pytest.approx(2.0 ** (2 * t), rel=2e-2)
+        t, nu = 2.0, 1
+        a = ruelle._phi_dual_pair(200.0, Character.zero(nu), nu, tr)[1].real
+        b = ruelle._phi_dual_pair(400.0, Character.zero(nu), nu, tr)[1].real
+        assert a / b == pytest.approx(2.0 ** (2 * t - nu), rel=2e-2)
 
     def test_domain(self):
         with pytest.raises(DomainError):
-            ruelle.phi(1.0, None, 0.4, 2, None)
+            ruelle.log_deriv_L(0.0, None, 2, None)
 
 
 class TestLogDerivL:
