@@ -13,7 +13,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import lattice
-from .errors import UnsupportedDimension
+from .errors import CheckFailed, UnsupportedDimension
 from .lattice import Character, _as_character
 
 __all__ = [
@@ -390,7 +390,7 @@ def M_value(nu: int, n: int, chi: Character | None, x: float) -> complex:
             conv += float(ell) ** (-float(x)) * r_primitive(nu, n // (ell * ell), chi.scaled(ell))
         ell += 1
     if abs(direct - conv) > 1e-12 * max(1.0, abs(direct)):
-        raise AssertionError(
+        raise CheckFailed(
             f"M_value routes disagree: direct={direct}, convolution={conv} (nu={nu}, n={n}, x={x})"
         )
     return _real_if_close(direct)

@@ -18,7 +18,7 @@ from fractions import Fraction
 import numpy as np
 
 from .arith import factorize, primes_upto, rtilde_prime_power
-from .errors import NotCoprime, NotPrime, UnsupportedDimension
+from .errors import CheckFailed, NotCoprime, NotPrime, UnsupportedDimension
 
 __all__ = [
     "KeyLemmaResult",
@@ -123,7 +123,8 @@ def local_F(nu: int, p: int, e: int) -> Fraction:
     _check_nu(nu)
     _check_prime(p)
     val = Fraction(_r_pp(nu, p, e)) - (p - 1) * key_lhs(nu, p, e)
-    assert val != 0, "key lemma guarantees nonvanishing"
+    if val == 0:
+        raise CheckFailed(f"F_{{{nu},{p}}}({e}) = 0 contradicts the key lemma")
     return val
 
 
@@ -132,7 +133,8 @@ def local_G(nu: int, p: int) -> Fraction:
     _check_nu(nu)
     _check_prime(p)
     val = 1 - Fraction(p - 1, 2 * nu) * key_lhs(nu, p, 0)
-    assert val != 0, "key lemma guarantees nonvanishing"
+    if val == 0:
+        raise CheckFailed(f"G_{{{nu},{p}}} = 0 contradicts the key lemma")
     return val
 
 

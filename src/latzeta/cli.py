@@ -1,6 +1,7 @@
 """Command-line front end: one subcommand per module, JSON/CSV output.
 
 Exit codes: 0 success (and, where documented, "all checks passed"),
+1 a check failed (a verdict, a comparison, or an internal consistency check),
 2 bad arguments or domain errors, 3 unsupported dimension, 4 non-coprime
 inputs.  A key=value config file (see DEFAULT_CONFIG) supplies truncation
 defaults; flags override; the LATZETA_CONFIG environment variable overrides
@@ -21,7 +22,7 @@ from fractions import Fraction
 
 from . import boundary, detlap, ruelle, tauber
 from .arith import factorize, r_closed
-from .errors import DomainError, NotCoprime, NotPrime, UnsupportedDimension
+from .errors import CheckFailed, DomainError, NotCoprime, NotPrime, UnsupportedDimension
 from .lattice import Character
 from .ruelle import Truncation
 
@@ -333,6 +334,9 @@ def main(argv: list[str] | None = None) -> int:
         cfg.output = args.output
     try:
         return args.func(args, cfg)
+    except CheckFailed as exc:
+        print(f"check failed: {exc}", file=sys.stderr)
+        return EXIT_FAIL
     except UnsupportedDimension as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_UNSUPPORTED_DIM

@@ -31,3 +31,8 @@ class NotCoprime(LatzetaError):
 
 class UnsupportedRegime(LatzetaError):
     """Asymptotic constant not available in this (nu, x) regime."""
+
+
+class CheckFailed(LatzetaError):
+    """An internal consistency check failed: two independent routes disagree,
+    or a value proved nonzero came out zero."""

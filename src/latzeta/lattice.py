@@ -10,6 +10,7 @@ drift.
 from __future__ import annotations
 
 import math
+from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
@@ -26,7 +27,11 @@ __all__ = [
     "char_pairing",
     "ball_array",
     "ball_chunks",
+    "ball_pass",
+    "ball_count",
     "shell_array",
+    "ShellResidueTable",
+    "shell_residue_table",
     "shifted_ball_sq",
     "row_gcd",
 ]
@@ -210,6 +215,7 @@ def _ball_with_origin(nu: int, R2: int) -> np.ndarray:
 _BALL_CACHE: dict[tuple[int, int], np.ndarray] = {}
 _BALL_CACHE_ROWS = 0
 _BALL_CACHE_MAX_ROWS = 6_000_000  # ~150 MB worst case
+CACHED_BALL_ROWS = 2_000_000  # larger balls are streamed, never cached
 
 
 def ball_array(nu: int, R2: int) -> np.ndarray:
@@ -225,7 +231,7 @@ def ball_array(nu: int, R2: int) -> np.ndarray:
     full = _ball_with_origin(nu, R2)
     arr = np.delete(full, full.shape[0] // 2, axis=0)
     arr.setflags(write=False)
-    if arr.shape[0] <= 2_000_000 and _BALL_CACHE_ROWS + arr.shape[0] <= _BALL_CACHE_MAX_ROWS:
+    if arr.shape[0] <= CACHED_BALL_ROWS and _BALL_CACHE_ROWS + arr.shape[0] <= _BALL_CACHE_MAX_ROWS:
         _BALL_CACHE[key] = arr
         _BALL_CACHE_ROWS += arr.shape[0]
     return arr
@@ -240,6 +246,25 @@ def ball_chunks(nu: int, R2: int, max_rows: int = CHUNK_ROWS) -> Iterator[np.nda
             block = block[block.any(axis=1)]
         if block.shape[0]:
             yield block
+
+
+def ball_pass(nu: int, R2: int) -> Iterator[np.ndarray] | tuple[np.ndarray]:
+    """The nonzero ball for one pass: the cached array when it has at most
+    ``CACHED_BALL_ROWS`` points, streamed chunks otherwise."""
+    if ball_count(nu, R2) <= CACHED_BALL_ROWS:
+        return (ball_array(nu, R2),)
+    return ball_chunks(nu, R2)
+
+
+def ball_count(nu: int, R2: int) -> int:
+    """Number of nonzero points with |v|^2 <= R2, from the line lengths over
+    the (nu-1)-ball, without enumerating the ball itself."""
+    if nu == 1:
+        return 2 * math.isqrt(R2)
+    total = -1
+    for prefix in _ball_blocks(nu - 1, R2, CHUNK_ROWS):
+        total += int((2 * _isqrt(R2 - (prefix * prefix).sum(axis=1)) + 1).sum())
+    return total
 
 
 def shifted_ball_sq(nu: int, chi: Character, R: float) -> Iterator[np.ndarray]:
@@ -300,3 +325,102 @@ def pairing_phases(chunk: np.ndarray, chi: Character) -> np.ndarray:
     nums, D = chi.numerators_denominator()
     ph = (chunk @ nums) % D
     return np.exp((2j * np.pi / D) * ph)
+
+
+# ---------------------------------------------------------------------------
+# shell-by-residue tables: norm-only twisted sums over the ball
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True, eq=False)
+class ShellResidueTable:
+    """The nonzero ball |v|^2 <= R2 binned by (n, r) with n = |v|^2 and
+    r = <v, a> mod D, where alpha = a/D.
+
+    A twisted sum whose weight depends on |v| alone reads the table: the
+    character k*alpha pairs v to exp(2 pi i k r / D), so every multiple of
+    alpha permutes the residue columns of one table.  Bins are sorted by n,
+    then r; the bins of one shell are contiguous.
+    """
+
+    D: int
+    shell_n: np.ndarray  # each nonempty shell's n, increasing
+    starts: np.ndarray  # index of each shell's first bin
+    points: np.ndarray  # cumulative number of points on shells up to each one
+    r: np.ndarray  # residue of each bin
+    count: np.ndarray  # number of points in each bin, as float64
+    roots: np.ndarray  # exp(2 pi i j / D) for j < D
+
+    @property
+    def nbytes(self) -> int:
+        return sum(a.nbytes for a in (self.shell_n, self.starts, self.points, self.r, self.count, self.roots))
+
+    def fold(self, mult: int, R2: int) -> tuple[np.ndarray, np.ndarray, int]:
+        """(norms, sums, terms) over the shells n <= R2: each shell's norm
+        sqrt(n), the sum of exp(2 pi i mult <v, alpha>) over its points, and
+        the number of points summed."""
+        k = int(np.searchsorted(self.shell_n, R2, side="right"))
+        if k == 0:
+            return np.empty(0), np.empty(0, dtype=complex), 0
+        stop = int(self.starts[k]) if k < self.starts.shape[0] else self.r.shape[0]
+        w = self.count[:stop] * self.roots[((mult % self.D) * self.r[:stop]) % self.D]
+        sums = np.add.reduceat(w, self.starts[:k])
+        return np.sqrt(self.shell_n[:k].astype(np.float64)), sums, int(self.points[k - 1])
+
+
+_TABLE_CACHE: "OrderedDict[tuple, ShellResidueTable]" = OrderedDict()
+_TABLE_CACHE_BYTES = 0
+TABLE_CACHE_MAX_BYTES = 64 << 20
+
+
+def _bin_ball(nu: int, R2: int, nums: np.ndarray, D: int) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted unique keys n*D + r of the nonzero ball and their counts, in
+    one pass over the ball."""
+    keys, counts = [], []
+    for chunk in ball_pass(nu, R2):
+        key, count = np.unique((chunk * chunk).sum(axis=1) * D + (chunk @ nums) % D, return_counts=True)
+        keys.append(key)
+        counts.append(count)
+    if len(keys) == 1:
+        return keys[0], counts[0].astype(np.float64)
+    key, inv = np.unique(np.concatenate(keys), return_inverse=True)
+    return key, np.bincount(inv, weights=np.concatenate(counts))
+
+
+def shell_residue_table(nu: int, R2: int, chi: Character) -> ShellResidueTable | None:
+    """The shell-by-residue table of the nonzero ball |v|^2 <= R2 for ``chi``.
+
+    Tables are kept in an LRU cache of at most ``TABLE_CACHE_MAX_BYTES``.
+    Returns None, building nothing, when the table could outgrow that budget
+    (it has at most one bin per point and D bins per shell, plus D roots of
+    unity); the caller then sums the ball directly.
+    """
+    global _TABLE_CACHE_BYTES
+    key = (nu, R2, chi.alpha)
+    table = _TABLE_CACHE.get(key)
+    if table is not None:
+        _TABLE_CACHE.move_to_end(key)
+        return table
+    nums, D = chi.numerators_denominator()
+    size = ball_count(nu, R2)
+    # 16 bytes per bin (r, count), 24 per shell (shell_n, starts, points), 16 per root
+    if 16 * min(size, R2 * D) + 24 * R2 + 16 * D > TABLE_CACHE_MAX_BYTES:
+        return None
+    keys, count = _bin_ball(nu, R2, nums, D)
+    n = keys // D
+    starts = np.flatnonzero(np.diff(n, prepend=-1))
+    table = ShellResidueTable(
+        D=D,
+        shell_n=n[starts],
+        starts=starts,
+        points=np.cumsum(np.add.reduceat(count, starts)).astype(np.int64),
+        r=keys % D,
+        count=count,
+        roots=np.exp((2j * np.pi / D) * np.arange(D)),
+    )
+    _TABLE_CACHE[key] = table
+    _TABLE_CACHE_BYTES += table.nbytes
+    while _TABLE_CACHE_BYTES > TABLE_CACHE_MAX_BYTES:
+        _, old = _TABLE_CACHE.popitem(last=False)
+        _TABLE_CACHE_BYTES -= old.nbytes
+    return table

@@ -6,6 +6,11 @@ gcd-weighted exponential series), g(s, alpha) through the direct lattice sum
 and through its Poisson dual, and the logarithmic derivative through the
 Phi-series combination whose n-terms are evaluated by their exact dual
 exponential expansion.
+
+Sums whose weight depends on |n| alone (g, log G, the Moebius route and the
+Phi n-terms) read one shell-by-residue table of the ball per (nu, radius,
+alpha); the Euler and series routes sum the ball point by point, so the
+three log L routes stay independent computations.
 """
 
 from __future__ import annotations
@@ -113,30 +118,45 @@ def _ball_weighted_sum(
     R2: int,
     chi: Character,
     weight,
-) -> complex:
-    """sum over nonzero |n|^2 <= R2 of weight(|n|, n) * exp(2 pi i <n, alpha>).
+) -> tuple[complex, int]:
+    """sum over nonzero |n|^2 <= R2 of weight(|n|, n) * exp(2 pi i <n, alpha>),
+    and the number of points summed.
 
     ``weight(norms, rows)`` receives the float64 norms and the int64 rows and
-    returns weights.  Deterministic (lexicographic order); moderate balls come
-    from the shared cache, large ones are streamed in chunks.
+    returns weights, or a stack of weights summed each along the last axis.
+    Deterministic (lexicographic order); moderate balls come from the shared
+    cache, large ones are streamed in chunks.
     """
     total = 0j
-    if _ball_size(nu, R2) <= 2_000_000:
-        chunks = (lattice.ball_array(nu, R2),)
-    else:
-        chunks = lattice.ball_chunks(nu, R2)
-    for chunk in chunks:
+    terms = 0
+    for chunk in lattice.ball_pass(nu, R2):
         norms = np.sqrt((chunk.astype(np.float64) ** 2).sum(axis=1))
         w = weight(norms, chunk)
         ph = lattice.pairing_phases(chunk, chi)
-        total += complex((w * ph).sum())
-    return total
+        total = total + (w * ph).sum(axis=-1)
+        terms += chunk.shape[0]
+    return total, terms
 
 
-def _ball_size(nu: int, R2: int) -> int:
-    from .arith import r_table
+def _table(nu: int, radius: float, chi: Character) -> lattice.ShellResidueTable | None:
+    """The shell-residue table that every norm-only sum of a truncation at
+    ``radius`` reads (sub-radii down to 2 read prefixes of it), or None when
+    it would outgrow the table cache."""
+    return lattice.shell_residue_table(nu, int(math.ceil(max(radius, 2.0) ** 2)), chi)
 
-    return int(r_table(nu, R2)[1:].sum())
+
+def _norm_sum(weight, nu: int, R2: int, chi: Character, mult: int, table) -> tuple[complex, int]:
+    """sum over nonzero |n|^2 <= R2 of weight(|n|) * exp(2 pi i mult <n, alpha>),
+    and the number of points summed.
+
+    Read from ``table`` (one weight per shell) or, when there is none, summed
+    over the ball; ``weight`` may return a stack of weights, as for
+    :func:`_ball_weighted_sum`.
+    """
+    if table is None:
+        return _ball_weighted_sum(nu, R2, chi.scaled(mult), lambda norms, rows: weight(norms))
+    norms, sums, terms = table.fold(mult, R2)
+    return (weight(norms) * sums).sum(axis=-1), terms
 
 
 def g_direct(s: complex, chi: Character | None, nu: int, tr: Truncation | None = None) -> SeriesValue:
@@ -145,9 +165,9 @@ def g_direct(s: complex, chi: Character | None, nu: int, tr: Truncation | None =
     tr = tr or default_truncation(s)
     chi = _as_character(chi, nu)
     R2 = int(math.ceil(tr.radius**2))
-    val = _ball_weighted_sum(nu, R2, chi, lambda norms, rows: np.exp(-s * norms))
+    val, terms = _norm_sum(lambda norms: np.exp(-s * norms), nu, R2, chi, 1, _table(nu, tr.radius, chi))
     tail = _exp_tail_estimate(nu, s.real, tr.radius)
-    return SeriesValue(val, _ball_size(nu, R2), tail)
+    return SeriesValue(complex(val), terms, tail)
 
 
 # ---------------------------------------------------------------------------
@@ -250,6 +270,12 @@ def log_G(s: complex, chi: Character | None, nu: int, tr: Truncation | None = No
     s = _require_right_half(s)
     tr = tr or default_truncation(s)
     chi = _as_character(chi, nu)
+    return _log_G(s, chi, 1, nu, tr, _table(nu, tr.radius, chi))
+
+
+def _log_G(s: complex, chi: Character, mult: int, nu: int, tr: Truncation, table) -> SeriesValue:
+    """log G(s, mult * alpha), every g term read from the base character's
+    ``table`` (g(l s, l mult alpha) at radius max(2, radius / l))."""
     total = 0j
     terms = 0
     tail = 0.0
@@ -257,16 +283,13 @@ def log_G(s: complex, chi: Character | None, nu: int, tr: Truncation | None = No
         u = ell * s
         if u.real > 50.0 and ell > 1:
             break
-        sub = Truncation(
-            radius=max(2.0, tr.radius / ell),
-            ell_limit=tr.ell_limit,
-            mobius_limit=tr.mobius_limit,
-            tol=tr.tol,
+        radius = max(2.0, tr.radius / ell)
+        val, n = _norm_sum(
+            lambda norms: np.exp(-u * norms), nu, int(math.ceil(radius**2)), chi, mult * ell, table
         )
-        gv = g_direct(u, chi.scaled(ell), nu, sub)
-        total += gv.value / ell
-        terms += gv.terms
-        tail += gv.tail_estimate / ell
+        total += complex(val) / ell
+        terms += n
+        tail += _exp_tail_estimate(nu, u.real, radius) / ell
     # geometric bound on the omitted l's: terms behave like 2 nu e^{-l s}
     lmax = tr.ell_limit
     tail += 2 * nu * math.exp(-(lmax + 1) * s.real) / (1 - math.exp(-s.real)) / (lmax + 1)
@@ -291,6 +314,7 @@ def _log_L_euler(s: complex, chi: Character, nu: int, tr: Truncation) -> SeriesV
 def _log_L_mobius(s: complex, chi: Character, nu: int, tr: Truncation) -> SeriesValue:
     """sum_m mu(m) log G(m s, m alpha)."""
     st = ensure_sieve(tr.mobius_limit)
+    table = _table(nu, tr.radius, chi)
     total = 0j
     terms = 0
     tail = 0.0
@@ -300,7 +324,7 @@ def _log_L_mobius(s: complex, chi: Character, nu: int, tr: Truncation) -> Series
             continue
         if (m * s).real > 50.0:
             break
-        gv = log_G(m * s, chi.scaled(m), nu, tr)
+        gv = _log_G(m * s, chi, m, nu, tr, table)
         total += mu * gv.value
         terms += gv.terms
         tail += gv.tail_estimate
@@ -311,11 +335,11 @@ def _log_L_mobius(s: complex, chi: Character, nu: int, tr: Truncation) -> Series
 def _log_L_series(s: complex, chi: Character, nu: int, tr: Truncation) -> SeriesValue:
     """sum_n M_nu(n, alpha, 1) e^{-s sqrt(n)} as a gcd-weighted ball sum."""
     R2 = int(math.ceil(tr.radius**2))
-    val = _ball_weighted_sum(
+    val, terms = _ball_weighted_sum(
         nu, R2, chi, lambda norms, rows: np.exp(-s * norms) / lattice.row_gcd(rows)
     )
     tail = _exp_tail_estimate(nu, s.real, tr.radius)
-    return SeriesValue(val, _ball_size(nu, R2), tail)
+    return SeriesValue(complex(val), terms, tail)
 
 
 def log_L(s: complex, chi: Character | None, nu: int, tr: Truncation | None = None) -> SeriesValue:
@@ -360,11 +384,11 @@ def _phi_dual_pair(
     same n, so the combination in log_deriv_L cancels them exactly.
     """
     st = ensure_sieve(tr.mobius_limit)
+    table = _table(nu, tr.radius, chi)
     area = sphere_area(nu)
     pref = area / (2.0 * (2.0 * math.pi) ** nu)
     phi1 = 0j
     phi2 = 0j
-    R2 = int(math.ceil(tr.radius**2))
     for n in range(1, tr.mobius_limit + 1):
         gam = float(st.gam[n])
         if (n * s).real > 60.0 and n > 1:
@@ -372,17 +396,17 @@ def _phi_dual_pair(
             phi1 += gam / n * pref / s
             phi2 += gam / n * pref / ((nu + 1) * s * s * s)
             continue
-        sub = Truncation(max(2.0, tr.radius / n), tr.ell_limit, tr.mobius_limit, tr.tol)
-        chin = chi.scaled(n)
-        sub_R2 = int(math.ceil(sub.radius**2))
-        e0 = _ball_weighted_sum(nu, sub_R2, chin, lambda norms, rows: np.exp(-(n * s) * norms))
-        e1 = _ball_weighted_sum(
-            nu, sub_R2, chin, lambda norms, rows: (n * norms) * np.exp(-(n * s) * norms)
-        )
+
+        def weights(norms):
+            e = np.exp(-(n * s) * norms)
+            return np.stack([e, (n * norms) * e])
+
+        sub_R2 = int(math.ceil(max(2.0, tr.radius / n) ** 2))
+        (e0, e1), _ = _norm_sum(weights, nu, sub_R2, chi, n, table)
         # Phi_1 n-term: gam/n * pref/s * (1 + e0)
-        phi1 += gam / n * pref / s * (1.0 + e0)
+        phi1 += gam / n * pref / s * (1.0 + complex(e0))
         # Phi_2 n-term: gam/n * pref/((nu+1) s) * [ (1+e0)/s^2 + e1/s ]
-        phi2 += gam / n * pref / ((nu + 1) * s) * ((1.0 + e0) / (s * s) + e1 / s)
+        phi2 += gam / n * pref / ((nu + 1) * s) * ((1.0 + complex(e0)) / (s * s) + complex(e1) / s)
     return phi1, phi2
 
 

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from latzeta import arith
-from latzeta.errors import UnsupportedDimension
+from latzeta.errors import CheckFailed, UnsupportedDimension
 from latzeta.lattice import Character
 
 
@@ -204,6 +204,11 @@ class TestMValue:
         chi = Character((Fraction(1, 3), Fraction(1, 5)))
         for n in (1, 2, 4, 8, 9, 16, 36, 72, 100, 144):
             arith.M_value(2, n, chi, 0.5)
+
+    def test_route_disagreement_raises_typed_error(self, monkeypatch):
+        monkeypatch.setattr(arith, "r_primitive", lambda nu, n, chi: arith.r_count(nu, n) + 1)
+        with pytest.raises(CheckFailed, match="M_value routes disagree"):
+            arith.M_value(2, 5, None, 1.0)
 
     def test_g_weight(self):
         assert arith.g_weight(9, 2.0) == pytest.approx(1 / 9)

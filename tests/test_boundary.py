@@ -7,7 +7,7 @@ import pytest
 
 from latzeta import boundary
 from latzeta.arith import primes_upto, rtilde_prime_power
-from latzeta.errors import NotCoprime, NotPrime, UnsupportedDimension
+from latzeta.errors import CheckFailed, NotCoprime, NotPrime, UnsupportedDimension
 
 
 def lhs_partial_sum(nu, p, e, N):
@@ -92,6 +92,17 @@ class TestLocalFactors:
     def test_G_examples(self):
         assert boundary.local_G(2, 2) == Fraction(6, 7)
         assert boundary.local_G(4, 2) == Fraction(28, 31)
+
+    def test_zero_F_raises_typed_error(self, monkeypatch):
+        # force the left side the key lemma excludes: r(p^2e) = (p-1) key_lhs
+        monkeypatch.setattr(boundary, "key_lhs", lambda nu, p, e: Fraction(boundary._r_pp(nu, p, e), p - 1))
+        with pytest.raises(CheckFailed):
+            boundary.local_F(2, 3, 1)
+
+    def test_zero_G_raises_typed_error(self, monkeypatch):
+        monkeypatch.setattr(boundary, "key_lhs", lambda nu, p, e: Fraction(2 * nu, p - 1))
+        with pytest.raises(CheckFailed):
+            boundary.local_G(4, 5)
 
     def test_G_tends_to_one(self):
         for nu in (2, 4, 8):

@@ -2,6 +2,7 @@ import json
 import math
 import subprocess
 import sys
+from fractions import Fraction
 
 import jsonschema
 import pytest
@@ -104,6 +105,12 @@ class TestBoundaryCommand:
         doc = json.loads(out)
         assert doc["prime_limit"] == 101 and doc["verdict"] is True
         jsonschema.validate(doc, boundary.certificate_schema())
+
+    def test_failed_internal_check_exits_1(self, capsys, monkeypatch):
+        monkeypatch.setattr(boundary, "key_lhs", lambda nu, p, e: Fraction(2 * nu, p - 1))
+        code, _, err = run_cli(["boundary", "--nu", "2", "--m", "1", "--n", "1"], capsys)
+        assert code == 1
+        assert "contradicts the key lemma" in err
 
     def test_not_coprime_exits_4(self, capsys):
         code, _, _ = run_cli(["boundary", "--nu", "4", "--m", "2", "--n", "4"], capsys)

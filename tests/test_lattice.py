@@ -1,4 +1,5 @@
 import math
+from collections import OrderedDict
 from fractions import Fraction
 
 import numpy as np
@@ -246,3 +247,78 @@ class TestLatticeVector:
     def test_dim_validation(self):
         with pytest.raises(ValueError):
             LatticeVector(())
+
+
+class TestShellResidueTable:
+    @pytest.fixture(autouse=True)
+    def fresh_cache(self, monkeypatch):
+        monkeypatch.setattr(lattice, "_TABLE_CACHE", OrderedDict())
+        monkeypatch.setattr(lattice, "_TABLE_CACHE_BYTES", 0)
+
+    def test_ball_count_matches_r_table(self):
+        for nu in range(1, 6):
+            for R2 in (0, 1, 7, 30, 100):
+                assert lattice.ball_count(nu, R2) == int(arith.r_table(nu, R2)[1:].sum()), (nu, R2)
+
+    def test_shell_counts_match_r_table(self):
+        for nu in range(1, 6):
+            R2 = 120 if nu <= 3 else 40
+            counts = arith.r_table(nu, R2)
+            for chi in (Character.zero(nu), Character(tuple(Fraction(j + 1, 6) for j in range(nu)))):
+                t = lattice.shell_residue_table(nu, R2, chi)
+                want_n = np.flatnonzero(counts[1:]) + 1
+                assert np.array_equal(t.shell_n, want_n), (nu, chi)
+                assert np.array_equal(np.diff(t.points, prepend=0), counts[want_n]), (nu, chi)
+                assert t.r.min() >= 0 and t.r.max() < t.D
+
+    def brute_fold(self, nu, R2, chi, mult):
+        """Per-shell sums of the character mult*alpha over the cached ball."""
+        arr = lattice.ball_array(nu, R2)
+        n = (arr * arr).sum(axis=1)
+        ph = lattice.pairing_phases(arr, chi.scaled(mult))
+        shells = np.unique(n)
+        sums = np.array([ph[n == k].sum() for k in shells], dtype=complex)
+        return shells, sums
+
+    def test_fold_matches_brute_sum(self):
+        # denominator 6 with multipliers sharing a factor with it, and one
+        # coprime multiplier larger than D
+        chi = Character((Fraction(1, 6), Fraction(1, 2), Fraction(2, 3)))
+        t = lattice.shell_residue_table(3, 64, chi)
+        assert t.D == 6
+        for mult in (1, 2, 3, 6, 7):
+            for R2 in (64, 17, 4):
+                norms, sums, terms = t.fold(mult, R2)
+                shells, want = self.brute_fold(3, R2, chi, mult)
+                assert np.array_equal(norms, np.sqrt(shells.astype(np.float64)))
+                assert np.abs(sums - want).max() < 1e-12, (mult, R2)
+                assert terms == lattice.ball_count(3, R2)
+
+    def test_large_denominator_bins_bounded_by_points(self):
+        chi = Character((Fraction(1, 997), Fraction(3, 997)))
+        t = lattice.shell_residue_table(2, 2500, chi)
+        assert t.D == 997
+        assert t.r.shape[0] <= lattice.ball_count(2, 2500)
+        for mult in (1, 5, 997):
+            _, sums, _ = t.fold(mult, 400)
+            _, want = self.brute_fold(2, 400, chi, mult)
+            assert np.abs(sums - want).max() < 1e-12
+
+    def test_byte_budget_evicts(self, monkeypatch):
+        chars = [Character((Fraction(a, 3), Fraction(b, 4))) for a in (1, 2) for b in (1, 3)]
+        first = lattice.shell_residue_table(2, 400, chars[0])
+        monkeypatch.setattr(lattice, "TABLE_CACHE_MAX_BYTES", int(2.5 * first.nbytes))
+        last = [lattice.shell_residue_table(2, 400, chi) for chi in chars[1:]][-1]
+        cache = lattice._TABLE_CACHE
+        assert (2, 400, chars[0].alpha) not in cache and 1 <= len(cache) < len(chars)
+        assert list(cache)[-1] == (2, 400, chars[-1].alpha)
+        assert lattice._TABLE_CACHE_BYTES == sum(t.nbytes for t in cache.values()) <= lattice.TABLE_CACHE_MAX_BYTES
+        # a hit returns the cached object; a rebuilt table reads the same
+        assert lattice.shell_residue_table(2, 400, chars[-1]) is last
+        again = lattice.shell_residue_table(2, 400, chars[0])
+        assert again is not first and np.array_equal(again.count, first.count)
+
+    def test_table_over_budget_is_not_built(self, monkeypatch):
+        monkeypatch.setattr(lattice, "TABLE_CACHE_MAX_BYTES", 1000)
+        assert lattice.shell_residue_table(3, 100, Character.zero(3)) is None
+        assert not lattice._TABLE_CACHE

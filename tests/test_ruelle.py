@@ -1,4 +1,6 @@
 import math
+import time
+from collections import OrderedDict
 from fractions import Fraction
 
 import numpy as np
@@ -284,3 +286,75 @@ class TestTruncationDefaults:
         assert g.tail_estimate > 1e-6  # honestly large
         fine = ruelle.g_direct(s, None, 2, Truncation(radius=500, ell_limit=1, mobius_limit=1))
         assert abs(g.value - fine.value) <= g.tail_estimate
+
+
+class TestShellResidueReads:
+    """g, log G, the Moebius route and L'/L read one shell-residue table."""
+
+    @pytest.fixture(autouse=True)
+    def fresh_cache(self, monkeypatch):
+        monkeypatch.setattr(lattice, "_TABLE_CACHE", OrderedDict())
+        monkeypatch.setattr(lattice, "_TABLE_CACHE_BYTES", 0)
+
+    @staticmethod
+    def brute_g(u, chi, mult, nu, R2):
+        arr = lattice.ball_array(nu, R2)
+        norms = np.sqrt((arr.astype(np.float64) ** 2).sum(axis=1))
+        return complex((lattice.pairing_phases(arr, chi.scaled(mult)) * np.exp(-u * norms)).sum())
+
+    def test_g_from_table_matches_brute_sum(self):
+        cases = (
+            (Character((Fraction(1, 6), Fraction(1, 2), Fraction(1, 3))), (1, 2, 3, 6)),
+            (Character((Fraction(1, 997), Fraction(0), Fraction(5, 997))), (1, 2, 996)),
+        )
+        for chi, mults in cases:
+            table = ruelle._table(3, 12.0, chi)
+            for mult in mults:
+                for u, R2 in ((0.9 + 0.3j, 144), (2.7, 16)):
+                    got, terms = ruelle._norm_sum(lambda r: np.exp(-u * r), 3, R2, chi, mult, table)
+                    want = self.brute_g(u, chi, mult, 3, R2)
+                    assert abs(got - want) < 1e-13 * max(1.0, abs(want)), (chi, mult, u)
+                    assert terms == lattice.ball_count(3, R2)
+                    # g_direct reads its own table of the scaled character
+                    gd = ruelle.g_direct(u, chi.scaled(mult), 3, Truncation(math.sqrt(R2), 1, 1))
+                    assert abs(gd.value - want) < 1e-13 * max(1.0, abs(want))
+
+    def test_large_radius_terms_without_count_table(self):
+        # the term count comes from the summed rows, not from r_table
+        t0 = time.perf_counter()
+        g = ruelle.g_direct(1.0, None, 1, Truncation(radius=2000, ell_limit=1, mobius_limit=1))
+        assert time.perf_counter() - t0 < 1.0
+        assert g.terms == 4000
+        assert g.value.real == pytest.approx(2 * math.exp(-1) / (1 - math.exp(-1)), rel=1e-13)
+
+    def test_direct_sums_without_table_agree(self, monkeypatch):
+        # a table that could outgrow the cache budget is not built; the same
+        # sums then come from the ball, point by point
+        s, nu = 0.9 + 0.2j, 2
+        chi = Character((Fraction(1, 3), Fraction(1, 4)))
+        with_table = (ruelle.g_direct(s, chi, nu), ruelle.log_L_routes(s, chi, nu)["mobius"],
+                      ruelle.log_deriv_L(s, chi, nu))
+        monkeypatch.setattr(lattice, "_TABLE_CACHE", OrderedDict())
+        monkeypatch.setattr(lattice, "_TABLE_CACHE_BYTES", 0)
+        monkeypatch.setattr(lattice, "TABLE_CACHE_MAX_BYTES", 0)
+        without = (ruelle.g_direct(s, chi, nu), ruelle.log_L_routes(s, chi, nu)["mobius"],
+                   ruelle.log_deriv_L(s, chi, nu))
+        assert not lattice._TABLE_CACHE
+        for a, b in zip(with_table, without):
+            assert abs(a.value - b.value) < 1e-13 * abs(b.value)
+            assert (a.terms, a.tail_estimate) == (b.terms, b.tail_estimate)
+
+    def test_byte_identical_after_cache_clear(self, monkeypatch):
+        s, nu = 1.1 + 0.4j, 3
+        chi = Character((Fraction(1, 3), Fraction(0), Fraction(1, 6)))
+
+        def outputs():
+            return repr((ruelle.log_L_routes(s, chi, nu), ruelle.log_deriv_L(s, chi, nu),
+                         ruelle.g_direct(s, chi, nu), ruelle.log_G(s, chi, nu)))
+
+        first = outputs()
+        monkeypatch.setattr(lattice, "_TABLE_CACHE", OrderedDict())
+        monkeypatch.setattr(lattice, "_TABLE_CACHE_BYTES", 0)
+        monkeypatch.setattr(lattice, "_BALL_CACHE", {})
+        monkeypatch.setattr(lattice, "_BALL_CACHE_ROWS", 0)
+        assert outputs() == first
