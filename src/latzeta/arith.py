@@ -206,23 +206,53 @@ def r_table(nu: int, N: int) -> np.ndarray:
     return t
 
 
-def rtilde_prime_power(nu: int, p: int, a: int) -> int:
-    """r_nu(p^{2a}) / (2 nu) from the prime-power closed forms, nu in {2,4,8}."""
-    if a == 0:
+def _r_closed_pp(nu: int, p: int, e: int) -> int:
+    """r_nu(p^e)/(2 nu) from the prime-power closed forms (nu in {2,4,8}).
+
+    The only source of r_nu at prime powers: `r_closed`, `r_closed_table` and
+    `rtilde_prime_power` (and so the boundary certificates) read it.
+    """
+    if e == 0:
         return 1
     if nu == 2:
         if p == 2:
             return 1
-        return 2 * a + 1 if p % 4 == 1 else 1
+        if p % 4 == 1:
+            return e + 1
+        return 1 if e % 2 == 0 else 0
     if nu == 4:
         if p == 2:
             return 3
-        return (p ** (2 * a + 1) - 1) // (p - 1)
+        return (p ** (e + 1) - 1) // (p - 1)
     if nu == 8:
         if p == 2:
-            return (2 ** (3 * (2 * a + 1)) - 15) // 7
-        return (p ** (3 * (2 * a + 1)) - 1) // (p**3 - 1)
-    raise UnsupportedDimension(f"no closed form for nu={nu}")
+            return (2 ** (3 * (e + 1)) - 15) // 7
+        return (p ** (3 * (e + 1)) - 1) // (p**3 - 1)
+    raise UnsupportedDimension(f"closed form only for nu in {{2,4,6,8}}, got {nu}")
+
+
+def rtilde_prime_power(nu: int, p: int, a: int) -> int:
+    """r_nu(p^{2a}) / (2 nu) from the prime-power closed forms, nu in {2,4,8}."""
+    return _r_closed_pp(nu, p, 2 * a)
+
+
+def multiplicative_table(N: int, local, dtype) -> np.ndarray:
+    """[f(0), ..., f(N)] for the multiplicative f with f(p^a) = local(p, a).
+
+    f(0) is 1.  One pass per prime p <= N: each multiple of p takes local(p, a)
+    for the largest a with p^a dividing it.
+    """
+    out = np.ones(N + 1, dtype=dtype)
+    for p in primes_upto(N):
+        p = int(p)
+        f = np.empty(N // p, dtype=dtype)  # f[j] belongs to k = (j + 1) p
+        pa, a = p, 1
+        while pa <= N:
+            f[pa // p - 1 :: pa // p] = local(p, a)
+            pa *= p
+            a += 1
+        out[p::p] *= f
+    return out
 
 
 def r_closed(nu: int, n: int) -> int:
@@ -234,37 +264,9 @@ def r_closed(nu: int, n: int) -> int:
         s1 = sum(chi4(n // m) * m * m for m in divisors(n))
         s2 = sum(chi4(m) * m * m for m in divisors(n))
         return 16 * s1 - 4 * s2
-    if nu == 2:
-        # r_2(n)/4 is multiplicative: built from the prime-power forms,
-        # but exponent parity matters for p = 3 mod 4
-        val = 1
-        for p, e in factorize(n).items():
-            if p == 2:
-                continue
-            if p % 4 == 1:
-                val *= e + 1
-            else:
-                if e % 2 == 1:
-                    return 0
-        return 4 * val
-    if nu == 4:
-        # 8 * sum_{m|n, 4 not| m} m
-        val = 1
-        for p, e in factorize(n).items():
-            if p == 2:
-                val *= 3 if e >= 1 else 1
-            else:
-                val *= (p ** (e + 1) - 1) // (p - 1)
-        return 8 * val
-    if nu == 8:
-        val = 1
-        for p, e in factorize(n).items():
-            if p == 2:
-                val *= (2 ** (3 * (e + 1)) - 15) // 7 if e >= 1 else 1
-            else:
-                val *= (p ** (3 * (e + 1)) - 1) // (p**3 - 1)
-        return 16 * val
-    raise UnsupportedDimension(f"closed form only for nu in {{2,4,6,8}}, got {nu}")
+    if nu not in (2, 4, 8):
+        raise UnsupportedDimension(f"closed form only for nu in {{2,4,6,8}}, got {nu}")
+    return 2 * nu * math.prod(_r_closed_pp(nu, p, e) for p, e in factorize(n).items())
 
 
 def r_closed_table(nu: int, N: int) -> np.ndarray:
@@ -287,38 +289,10 @@ def r_closed_table(nu: int, N: int) -> np.ndarray:
         raise UnsupportedDimension(f"closed form only for nu in {{2,4,6,8}}, got {nu}")
     if nu == 8 and N > 700_000:
         raise OverflowError("r_8 values beyond n ~ 7e5 exceed int64; use r_closed")
-    out = np.ones(N + 1, dtype=np.int64)
-    for p in primes_upto(N):
-        p = int(p)
-        pa, a = p, 1
-        while pa <= N:
-            ks = np.arange(pa, N + 1, pa)  # v_p >= a
-            exact = ks[(ks // pa) % p != 0]  # v_p == a
-            out[exact] *= _r_closed_pp(nu, p, a)
-            pa *= p
-            a += 1
+    out = multiplicative_table(N, lambda p, a: _r_closed_pp(nu, p, a), np.int64)
     out *= 2 * nu
     out[0] = 1
     return out
-
-
-def _r_closed_pp(nu: int, p: int, e: int) -> int:
-    """r_nu(p^e)/(2 nu) for arbitrary exponent e >= 1 (nu in {2,4,8})."""
-    if nu == 2:
-        if p == 2:
-            return 1
-        if p % 4 == 1:
-            return e + 1
-        return 1 if e % 2 == 0 else 0
-    if nu == 4:
-        if p == 2:
-            return 3
-        return (p ** (e + 1) - 1) // (p - 1)
-    if nu == 8:
-        if p == 2:
-            return (2 ** (3 * (e + 1)) - 15) // 7
-        return (p ** (3 * (e + 1)) - 1) // (p**3 - 1)
-    raise UnsupportedDimension(str(nu))
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .arith import factorize, primes_upto, rtilde_prime_power
+from .arith import ensure_sieve, factorize, multiplicative_table, primes_upto, rtilde_prime_power
 from .errors import CheckFailed, NotCoprime, NotPrime, UnsupportedDimension
 
 __all__ = [
@@ -161,51 +161,21 @@ def g_tail_log_bound(nu: int, P: int) -> float:
 # ---------------------------------------------------------------------------
 
 
+# one table rtilde_nu(k^2), k = 0..K, per (nu, K); every m and n reads it
 _SIEVE_CACHE: dict = {}
 
 
-def _mult_sieve_rtilde(nu: int, K: int, m_fact: dict[int, int]) -> np.ndarray:
-    """f[k] = rtilde_nu((k m)^2) as float64 for k = 0..K (f[0] unused)."""
-    key = ("r", nu, K, tuple(sorted(m_fact.items())))
-    if key in _SIEVE_CACHE:
-        return _SIEVE_CACHE[key]
-    f = np.ones(K + 1)
-    for p in primes_upto(K):
-        p = int(p)
-        e0 = m_fact.get(p, 0)
-        base = float(rtilde_prime_power(nu, p, e0)) if e0 else 1.0
-        pa, a = p, 1
-        while pa <= K:
-            ks = np.arange(pa, K + 1, pa)
-            exact = ks[(ks // pa) % p != 0]
-            f[exact] *= float(rtilde_prime_power(nu, p, a + e0)) / base
-            pa *= p
-            a += 1
-    scale = 1.0
-    for p, e in m_fact.items():
-        scale *= float(rtilde_prime_power(nu, p, e))
-    out = f * scale
-    _SIEVE_CACHE[key] = out
-    return out
+def _rtilde_squares(nu: int, K: int) -> np.ndarray:
+    """f[k] = rtilde_nu(k^2) = r_nu(k^2)/(2 nu) as float64 for k = 0..K (f[0] unused).
 
-
-def _gamma_scaled_sieve(K: int, n_fact: dict[int, int]) -> np.ndarray:
-    """g[k] = gamma(k * n) as float64 for k = 1..K, given the factorization of n."""
-    key = ("g", K, tuple(sorted(n_fact.items())))
-    if key in _SIEVE_CACHE:
-        return _SIEVE_CACHE[key]
-    g = np.ones(K + 1)
-    for p in primes_upto(K):
-        p = int(p)
-        g[p::p] *= float(1 - p)
-    for q in n_fact:
-        g[q::q] /= float(1 - q)  # avoid double-counting primes shared with n
-    gamma_n = 1.0
-    for q in n_fact:
-        gamma_n *= float(1 - q)
-    out = g * gamma_n
-    _SIEVE_CACHE[key] = out
-    return out
+    float64, because rtilde_8(k^2) ~ k^6 leaves int64 near k ~ 2e5.
+    """
+    key = (nu, K)
+    if key not in _SIEVE_CACHE:
+        _SIEVE_CACHE[key] = multiplicative_table(
+            K, lambda p, a: float(rtilde_prime_power(nu, p, a)), np.float64
+        )
+    return _SIEVE_CACHE[key]
 
 
 def R_coeff_series(nu: int, m_tilde: int, n_tilde: int, K: int = 200_000) -> float:
@@ -215,8 +185,23 @@ def R_coeff_series(nu: int, m_tilde: int, n_tilde: int, K: int = 200_000) -> flo
         raise NotCoprime(f"gcd({m_tilde}, {n_tilde}) != 1")
     if K < 1:
         raise ValueError("K must be >= 1")
-    f = _mult_sieve_rtilde(nu, K, factorize(m_tilde))
-    g = _gamma_scaled_sieve(K, factorize(n_tilde))
+    # rtilde((k m)^2) from rtilde(k^2): at each p^e || m, a k with v_p(k) = a
+    # takes rtilde(p^{2(a+e)}) / rtilde(p^{2a}); rtilde > 0 for nu = 2, 4, 8
+    f = _rtilde_squares(nu, K)
+    for p, e in factorize(m_tilde).items():
+        ratio = np.full(K + 1, float(rtilde_prime_power(nu, p, e)))
+        pa, a = p, 1
+        while pa <= K:  # each multiple of p^a overwrites its value at a - 1
+            ratio[pa::pa] = float(rtilde_prime_power(nu, p, a + e)) / float(rtilde_prime_power(nu, p, a))
+            pa *= p
+            a += 1
+        f = f * ratio
+    # gamma(k n) = gamma(k) prod_{q | n, q not | k} (1 - q)
+    g = ensure_sieve(K).gam[: K + 1].astype(np.float64)
+    for q in factorize(n_tilde):
+        factor = np.full(K + 1, float(1 - q))
+        factor[::q] = 1.0
+        g *= factor
     k = np.arange(0, K + 1, dtype=np.float64)
     k[0] = 1.0
     terms = g * (2.0 * nu * f) / k ** (nu + 1)

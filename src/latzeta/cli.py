@@ -38,7 +38,6 @@ class RunConfig:
     radius: float = 0.0  # 0 = derive from s
     ell_limit: int = 0
     mobius_limit: int = 60
-    tol: float = 1e-9
     format: str = "json"
     output: str = ""
     ratio_band: float = 0.10
@@ -48,8 +47,8 @@ class RunConfig:
             raise ValueError("format must be json or csv")
         if self.mobius_limit < 1:
             raise ValueError("mobius_limit must be positive")
-        if self.tol <= 0 or self.ratio_band <= 0:
-            raise ValueError("tol and ratio_band must be positive")
+        if self.ratio_band <= 0:
+            raise ValueError("ratio_band must be positive")
 
 
 DEFAULT_CONFIG = RunConfig()
@@ -87,7 +86,6 @@ def _truncation(cfg: RunConfig, s: complex) -> Truncation:
         radius=cfg.radius if cfg.radius > 0 else base.radius,
         ell_limit=cfg.ell_limit if cfg.ell_limit > 0 else base.ell_limit,
         mobius_limit=cfg.mobius_limit,
-        tol=cfg.tol,
     )
 
 

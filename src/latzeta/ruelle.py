@@ -48,10 +48,9 @@ class Truncation:
     radius: float
     ell_limit: int
     mobius_limit: int
-    tol: float = 1e-9
 
     def __post_init__(self) -> None:
-        if self.radius < 1 or self.ell_limit < 1 or self.mobius_limit < 1 or self.tol <= 0:
+        if self.radius < 1 or self.ell_limit < 1 or self.mobius_limit < 1:
             raise ValueError("all truncation limits must be positive (radius >= 1)")
 
 
@@ -81,7 +80,6 @@ def default_truncation(s: complex) -> Truncation:
         radius=min(max(8.0, 40.0 / sr), 300.0),
         ell_limit=int(math.ceil(min(40.0 / sr, 400.0))),
         mobius_limit=60,
-        tol=1e-9,
     )
 
 

@@ -3,9 +3,10 @@ import math
 from fractions import Fraction
 
 import jsonschema
+import numpy as np
 import pytest
 
-from latzeta import boundary
+from latzeta import arith, boundary
 from latzeta.arith import primes_upto, rtilde_prime_power
 from latzeta.errors import CheckFailed, NotCoprime, NotPrime, UnsupportedDimension
 
@@ -128,6 +129,41 @@ class TestRSeries:
             want = gamma_mult(nt) * r_closed(nu, mt * mt) / nt ** (nu + 1)
             assert got == pytest.approx(want, rel=1e-12)
 
+    def test_against_counted_direct_sum(self):
+        # K = 40 against gamma(kn) r_nu(k^2 m^2) summed term by term: r_2 and
+        # r_4 counted (r_4 as the convolution r_2 * r_2 at each needed n, since
+        # arith.r_table up to (40 * 97)^2 would take minutes), r_8 from the
+        # closed form; m = 12, 72 repeat primes and 97 is a prime above K
+        K = 40
+        N = (K * 97) ** 2
+        root = math.isqrt(N)
+        r2 = np.zeros(N + 1, dtype=np.int32)  # r_4(n) < 2^31 for every n <= N, so np.dot stays exact
+        ys = np.arange(root + 1) ** 2
+        weight = np.full(root + 1, 2, dtype=np.int32)
+        weight[0] = 1  # y = 0 has no mirror image
+        for x in range(-root, root + 1):
+            row = x * x + ys
+            keep = row <= N
+            r2[row[keep]] += weight[keep]
+        count = {
+            2: lambda t: int(r2[t]),
+            4: lambda t: int(np.dot(r2[: t + 1], r2[t::-1])),
+            8: lambda t: arith.r_closed(8, t),
+        }
+        for nu in (2, 4, 8):
+            for mt in (12, 72, 97):
+                r = [count[nu]((k * mt) ** 2) for k in range(1, K + 1)]
+                for nt in (1, 6, 35):
+                    if math.gcd(mt, nt) != 1:
+                        continue
+                    want = 0.0
+                    for k in range(1, K + 1):
+                        gamma_kn = math.prod(1 - q for q in arith.factorize(k * nt))
+                        want += gamma_kn * r[k - 1] / k ** (nu + 1)
+                    want /= nt ** (nu + 1)
+                    got = boundary.R_coeff_series(nu, mt, nt, K=K)
+                    assert got == pytest.approx(want, rel=1e-12), (nu, mt, nt)
+
     def test_not_coprime(self):
         with pytest.raises(NotCoprime):
             boundary.R_coeff_series(2, 2, 4)
@@ -183,3 +219,19 @@ class TestCertificates:
     def test_tail_bound_positive_and_small(self):
         c = boundary.certify_nonvanishing(2, 1, 1, 100)
         assert 0 < c.g_tail_bound < 0.1
+
+    def test_sieve_cache_bounded_over_fresh_m(self):
+        boundary.certify_nonvanishing(2, 1, 1, 100, series_K=20_000)
+        keys = len(boundary._SIEVE_CACHE)
+        for mt in range(2, 32):
+            nt = next(n for n in (35, 6, 1) if math.gcd(mt, n) == 1)
+            boundary.certify_nonvanishing(2, mt, nt, 100, series_K=20_000)
+        assert len(boundary._SIEVE_CACHE) <= keys
+
+    def test_json_independent_of_earlier_certificates(self, monkeypatch):
+        monkeypatch.setattr(boundary, "_SIEVE_CACHE", {})
+        monkeypatch.setattr(arith, "_SIEVE", None)
+        first = boundary.certify_nonvanishing(8, 12, 35, 100).to_json()
+        for nu, mt, nt in ((8, 97, 6), (4, 12, 35), (8, 35, 12), (2, 4096, 3)):
+            boundary.certify_nonvanishing(nu, mt, nt, 100)
+        assert boundary.certify_nonvanishing(8, 12, 35, 100).to_json() == first

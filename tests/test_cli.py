@@ -210,8 +210,8 @@ class TestConfig:
         assert out.startswith("nu,x,X,")
 
     def test_unknown_key_rejected(self, tmp_path, capsys):
-        # sieve_limit and threads were keys that took no effect; they are gone
-        for key in ("no_such_key", "sieve_limit", "threads"):
+        # sieve_limit, threads and tol were keys that took no effect; they are gone
+        for key in ("no_such_key", "sieve_limit", "threads", "tol"):
             cfg = tmp_path / "bad.conf"
             cfg.write_text(f"{key} = 1\n")
             code, _, err = run_cli(
