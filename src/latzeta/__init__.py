@@ -2,7 +2,7 @@
 
 Subpackages
 -----------
-lattice   shells, balls, characters, exact pairing phases
+lattice   balls, shells, characters, exact pairing phases, lattice sums
 arith     mu, gamma, sums-of-squares counts, M_nu(n, alpha, x), Bernoulli
 special   zeta, L_{-4}, J/K Bessel, sphere areas
 ruelle    log L routes, Poisson identity, Phi series, logarithmic derivative
@@ -13,7 +13,7 @@ cli       `latzeta` command-line front end
 """
 
 from . import arith, boundary, detlap, lattice, ruelle, special, tauber
-from .lattice import Character, LatticeVector
+from .lattice import Character
 
 __all__ = [
     "arith",
@@ -24,7 +24,6 @@ __all__ = [
     "special",
     "tauber",
     "Character",
-    "LatticeVector",
 ]
 
 __version__ = "0.1.0"

@@ -184,16 +184,17 @@ def r_count(nu: int, n: int) -> int:
 def r_table(nu: int, N: int) -> np.ndarray:
     """Exact table [r_nu(0), ..., r_nu(N)] by repeated 1-D counting convolution.
 
-    This is pure counting (no closed forms): each step convolves with the
-    number-of-ways-one-coordinate table r_1.  int64 throughout; a guard
-    refuses ranges whose counts could overflow.
+    This is pure counting (no closed forms): starting from the
+    number-of-ways-one-coordinate table r_1, each step convolves with r_1.
+    int64 throughout; a guard refuses ranges whose counts could overflow.
     """
     if nu < 1 or N < 0:
         raise ValueError("need nu >= 1 and N >= 0")
     t = np.zeros(N + 1, dtype=np.int64)
     t[0] = 1
+    t[np.arange(1, math.isqrt(N) + 1) ** 2] = 2
     shifts = 2 * math.isqrt(N) + 1
-    for _ in range(nu):
+    for _ in range(nu - 1):
         if int(t.max()) > (1 << 62) // max(shifts, 1):
             raise OverflowError("r_table counts would exceed int64")
         nxt = t.copy()
@@ -270,18 +271,13 @@ def r_closed(nu: int, n: int) -> int:
 
 
 def r_closed_table(nu: int, N: int) -> np.ndarray:
-    """[r_nu(0..N)] from the closed forms (multiplicative sieve; nu=6 by
-    divisor-sum sieves).  Exact int64."""
+    """[r_nu(0..N)] from the closed forms, as multiplicative tables.  Exact int64."""
     if nu == 6:
-        m = np.arange(0, N + 1, dtype=np.int64)
-        c = np.zeros(N + 1, dtype=np.int64)
-        c[1::4] = 1
-        c[3::4] = -1
-        s1 = np.zeros(N + 1, dtype=np.int64)
-        s2 = np.zeros(N + 1, dtype=np.int64)
-        for d in range(1, N + 1):
-            s1[d::d] += c[np.arange(1, N // d + 1)] * d * d  # chi4(n/d) d^2
-            s2[d::d] += c[d] * d * d
+        # the divisor sums chi4 * id^2 and (chi4 id^2) * 1 are multiplicative
+        s1 = multiplicative_table(
+            N, lambda p, a: sum(chi4(p) ** (a - k) * p ** (2 * k) for k in range(a + 1)), np.int64
+        )
+        s2 = multiplicative_table(N, lambda p, a: sum((chi4(p) * p * p) ** k for k in range(a + 1)), np.int64)
         out = 16 * s1 - 4 * s2
         out[0] = 1
         return out

@@ -6,6 +6,11 @@ operator d/ds (1/(2s) d/ds)^ell, which all cross-checks apply).  The even
 case uses constants corrected for a factor-2ell slip in the source chain;
 they are the ones that satisfy the convergent spectral-sum identity, which
 is this module's strongest oracle.
+
+The lattice sums of the determinants and of the Poisson dual depend on |n|
+alone and are read per shell (:func:`latzeta.lattice.norm_sum`); the PSF
+right-hand sides, which the ladder of log det is checked against, sum the
+ball point by point, so that check stays independent of the shell tables.
 """
 
 from __future__ import annotations
@@ -150,17 +155,14 @@ def log_det_odd(
     cs = [float(c_coeff(ell, k)) for k in range(ell + 1)]
     lead = -((-2.0 * math.pi) ** (ell + 1)) / _double_factorial(2 * ell + 1) * s ** (2 * ell + 1)
 
-    acc = 0j
-    for chunk in lattice.ball_chunks(nu, R2):
-        norms = np.sqrt((chunk.astype(np.float64) ** 2).sum(axis=1))
+    def weight(norms):
         poly = np.zeros(norms.shape, dtype=complex)
         for k, c in enumerate(cs):
             poly += c * (2.0 * math.pi * norms) ** (-float(k)) * s ** (ell - k)
-        ph = lattice.pairing_phases(chunk, chi)
-        acc += complex(
-            (norms ** (-(ell + 1.0)) * poly * ph * np.exp(-2.0 * math.pi * norms * s)).sum()
-        )
-    return lead - acc
+        return norms ** (-(ell + 1.0)) * poly * np.exp(-2.0 * math.pi * norms * s)
+
+    acc, _ = lattice.norm_sum(weight, nu, R2, chi)
+    return lead - complex(acc)
 
 
 def det_odd(
@@ -192,14 +194,10 @@ def log_det_even(
     R2 = int(math.ceil(tr.radius**2))
     lead = 2.0 * (-1.0) ** ell * math.pi**ell / math.factorial(ell) * s ** (2 * ell) * math.log(s)
 
-    acc = 0.0
-    for chunk in lattice.ball_chunks(nu, R2):
-        norms = np.sqrt((chunk.astype(np.float64) ** 2).sum(axis=1))
-        uniq, inv = np.unique(norms, return_inverse=True)
-        kv = bessel_K_array(ell, 2.0 * math.pi * uniq * s)[inv]
-        ph = lattice.pairing_phases(chunk, chi)
-        acc += float((norms ** (-float(ell)) * kv * ph).sum().real)
-    return lead - 2.0 * s**ell * acc
+    acc, _ = lattice.norm_sum(
+        lambda norms: norms ** (-float(ell)) * bessel_K_array(ell, 2.0 * math.pi * norms * s), nu, R2, chi
+    )
+    return lead - 2.0 * s**ell * float(acc.real)
 
 
 def det_even(ell: int, chi: Character | None, s: float, tr: Truncation | None = None) -> float:
@@ -269,14 +267,10 @@ def spectral_sum_dual_even(ell: int, chi: Character | None, s: float, tr: Trunca
     chi = _as_character(chi, nu)
     tr = tr or det_truncation(s)
     R2 = int(math.ceil(tr.radius**2))
-    acc = 0.0
-    for chunk in lattice.ball_chunks(nu, R2):
-        norms = np.sqrt((chunk.astype(np.float64) ** 2).sum(axis=1))
-        uniq, inv = np.unique(norms, return_inverse=True)
-        kv = bessel_K_array(1, 2.0 * math.pi * uniq * s)[inv]
-        ph = lattice.pairing_phases(chunk, chi)
-        acc += float(((2.0 * math.pi * norms / s) * kv * ph).sum().real)
-    return math.pi**ell / math.factorial(ell) * (1.0 / (s * s) + acc)
+    acc, _ = lattice.norm_sum(
+        lambda norms: (2.0 * math.pi * norms / s) * bessel_K_array(1, 2.0 * math.pi * norms * s), nu, R2, chi
+    )
+    return math.pi**ell / math.factorial(ell) * (1.0 / (s * s) + float(acc.real))
 
 
 def psf_odd_rhs(ell: int, chi: Character | None, s: complex, tr: Truncation | None = None) -> complex:
@@ -285,12 +279,8 @@ def psf_odd_rhs(ell: int, chi: Character | None, s: complex, tr: Truncation | No
     chi = _as_character(chi, nu)
     tr = tr or det_truncation(s)
     R2 = int(math.ceil(tr.radius**2))
-    acc = 1.0 + 0j  # n = 0
-    for chunk in lattice.ball_chunks(nu, R2):
-        norms = np.sqrt((chunk.astype(np.float64) ** 2).sum(axis=1))
-        ph = lattice.pairing_phases(chunk, chi)
-        acc += complex((ph * np.exp(-2.0 * math.pi * s * norms)).sum())
-    return 2.0 * (-1.0) ** ell * math.pi ** (ell + 1) * acc
+    acc, _ = lattice.ball_weighted_sum(nu, R2, chi, lambda norms, rows: np.exp(-2.0 * math.pi * s * norms))
+    return 2.0 * (-1.0) ** ell * math.pi ** (ell + 1) * (1.0 + complex(acc))  # 1 is the n = 0 term
 
 
 def psf_even_rhs(ell: int, chi: Character | None, s: float, tr: Truncation | None = None) -> float:
@@ -303,14 +293,10 @@ def psf_even_rhs(ell: int, chi: Character | None, s: float, tr: Truncation | Non
     chi = _as_character(chi, nu)
     tr = tr or det_truncation(s)
     R2 = int(math.ceil(tr.radius**2))
-    acc = 1.0 / s
-    for chunk in lattice.ball_chunks(nu, R2):
-        norms = np.sqrt((chunk.astype(np.float64) ** 2).sum(axis=1))
-        uniq, inv = np.unique(norms, return_inverse=True)
-        kv = bessel_K_array(1, 2.0 * math.pi * uniq * s)[inv]
-        ph = lattice.pairing_phases(chunk, chi)
-        acc += float(((2.0 * math.pi * norms) * kv * ph).sum().real)
-    return 2.0 * (-1.0) ** ell * math.pi**ell * acc
+    acc, _ = lattice.ball_weighted_sum(
+        nu, R2, chi, lambda norms, rows: (2.0 * math.pi * norms) * bessel_K_array(1, 2.0 * math.pi * norms * s)
+    )
+    return 2.0 * (-1.0) ** ell * math.pi**ell * (1.0 / s + float(acc.real))
 
 
 def fourier_power_kernel(ell: int, R: float, s: float) -> float:

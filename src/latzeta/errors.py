@@ -5,10 +5,6 @@ class LatzetaError(Exception):
     """Base class for all package errors."""
 
 
-class ZeroVector(LatzetaError):
-    """Operation undefined for the zero lattice vector."""
-
-
 class DimensionMismatch(LatzetaError):
     """Vector and character dimensions differ."""
 

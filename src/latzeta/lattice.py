@@ -1,10 +1,12 @@
-"""Integer lattice vectors, shells, balls, and unitary characters.
+"""Balls and shells of Z^nu, unitary characters, and twisted sums over the ball.
 
 The lattice is Z^nu with the Euclidean squared norm; characters are points
 alpha in [0,1)^nu with exact rational components, paired with vectors through
-exp(2*pi*i <n, alpha>).  The pairing phase is reduced mod 1 in exact rational
+exp(2*pi*i <n, alpha>).  The pairing phase is reduced mod 1 in exact integer
 arithmetic before being exponentiated, so long sums do not accumulate phase
-drift.
+drift.  Every lattice sum of the package runs here: point by point over the
+ball (:func:`ball_weighted_sum`), or per shell from a shell-by-residue table
+when the weight depends on |v| alone (:func:`norm_sum`).
 """
 
 from __future__ import annotations
@@ -17,56 +19,22 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatch, ZeroVector
+from .errors import DimensionMismatch
 
 __all__ = [
-    "LatticeVector",
     "Character",
-    "vec_gcd",
-    "is_primitive",
-    "char_pairing",
     "ball_array",
     "ball_chunks",
-    "ball_pass",
     "ball_count",
     "shell_array",
     "ShellResidueTable",
     "shell_residue_table",
     "shifted_ball_sq",
     "row_gcd",
+    "pairing_phases",
+    "ball_weighted_sum",
+    "norm_sum",
 ]
-
-
-@dataclass(frozen=True)
-class LatticeVector:
-    """An element of Z^nu."""
-
-    coords: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.coords) < 1:
-            raise ValueError("dimension must be >= 1")
-
-    @property
-    def dim(self) -> int:
-        return len(self.coords)
-
-    @property
-    def squared_norm(self) -> int:
-        return sum(c * c for c in self.coords)
-
-    @property
-    def norm(self) -> float:
-        return math.sqrt(self.squared_norm)
-
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coords)
-
-
-def _coerce(v: "LatticeVector | Sequence[int]") -> tuple[int, ...]:
-    if isinstance(v, LatticeVector):
-        return v.coords
-    return tuple(int(c) for c in v)
 
 
 @dataclass(frozen=True)
@@ -122,35 +90,6 @@ def _as_character(chi: "Character | Sequence | int | None", nu: int) -> Characte
             raise DimensionMismatch(f"character dim {chi.dim} != {nu}")
         return chi
     return Character(tuple(Fraction(a) for a in chi))
-
-
-def vec_gcd(v: "LatticeVector | Sequence[int]") -> int:
-    """gcd of |coords|, ignoring zero entries; undefined for the zero vector."""
-    coords = _coerce(v)
-    g = 0
-    for c in coords:
-        g = math.gcd(g, abs(c))
-    if g == 0:
-        raise ZeroVector("vec_gcd undefined for the zero vector")
-    return g
-
-
-def is_primitive(v: "LatticeVector | Sequence[int]") -> bool:
-    return vec_gcd(v) == 1
-
-
-def char_pairing(v: "LatticeVector | Sequence[int]", chi: Character) -> complex:
-    """exp(2 pi i <v, alpha>) with the phase reduced mod 1 exactly first."""
-    coords = _coerce(v)
-    if len(coords) != chi.dim:
-        raise DimensionMismatch(f"vector dim {len(coords)} != character dim {chi.dim}")
-    phase = Fraction(0)
-    for c, a in zip(coords, chi.alpha):
-        phase += c * a
-    phase %= 1
-    if phase == 0:
-        return complex(1.0)
-    return complex(np.exp(2j * np.pi * float(phase)))
 
 
 # ---------------------------------------------------------------------------
@@ -246,14 +185,6 @@ def ball_chunks(nu: int, R2: int, max_rows: int = CHUNK_ROWS) -> Iterator[np.nda
             block = block[block.any(axis=1)]
         if block.shape[0]:
             yield block
-
-
-def ball_pass(nu: int, R2: int) -> Iterator[np.ndarray] | tuple[np.ndarray]:
-    """The nonzero ball for one pass: the cached array when it has at most
-    ``CACHED_BALL_ROWS`` points, streamed chunks otherwise."""
-    if ball_count(nu, R2) <= CACHED_BALL_ROWS:
-        return (ball_array(nu, R2),)
-    return ball_chunks(nu, R2)
 
 
 def ball_count(nu: int, R2: int) -> int:
@@ -375,16 +306,25 @@ TABLE_CACHE_MAX_BYTES = 64 << 20
 
 def _bin_ball(nu: int, R2: int, nums: np.ndarray, D: int) -> tuple[np.ndarray, np.ndarray]:
     """Sorted unique keys n*D + r of the nonzero ball and their counts, in
-    one pass over the ball."""
+    one pass over the ball.
+
+    The pass reads the ball from the ball cache when another pass put it
+    there, and otherwise streams it without caching it: the table is what
+    stays cached.  A streamed ball includes the origin, the lone key 0.
+    """
+    cached = _BALL_CACHE.get((nu, R2))
     keys, counts = [], []
-    for chunk in ball_pass(nu, R2):
+    for chunk in (cached,) if cached is not None else _ball_blocks(nu, R2, CHUNK_ROWS):
         key, count = np.unique((chunk * chunk).sum(axis=1) * D + (chunk @ nums) % D, return_counts=True)
         keys.append(key)
         counts.append(count)
     if len(keys) == 1:
-        return keys[0], counts[0].astype(np.float64)
-    key, inv = np.unique(np.concatenate(keys), return_inverse=True)
-    return key, np.bincount(inv, weights=np.concatenate(counts))
+        key, count = keys[0], counts[0].astype(np.float64)
+    else:
+        key, inv = np.unique(np.concatenate(keys), return_inverse=True)
+        count = np.bincount(inv, weights=np.concatenate(counts))
+    origin = int(key.size > 0 and key[0] == 0)
+    return key[origin:], count[origin:]
 
 
 def shell_residue_table(nu: int, R2: int, chi: Character) -> ShellResidueTable | None:
@@ -393,7 +333,7 @@ def shell_residue_table(nu: int, R2: int, chi: Character) -> ShellResidueTable |
     Tables are kept in an LRU cache of at most ``TABLE_CACHE_MAX_BYTES``.
     Returns None, building nothing, when the table could outgrow that budget
     (it has at most one bin per point and D bins per shell, plus D roots of
-    unity); the caller then sums the ball directly.
+    unity); :func:`norm_sum` then sums the ball point by point.
     """
     global _TABLE_CACHE_BYTES
     key = (nu, R2, chi.alpha)
@@ -402,9 +342,10 @@ def shell_residue_table(nu: int, R2: int, chi: Character) -> ShellResidueTable |
         _TABLE_CACHE.move_to_end(key)
         return table
     nums, D = chi.numerators_denominator()
-    size = ball_count(nu, R2)
-    # 16 bytes per bin (r, count), 24 per shell (shell_n, starts, points), 16 per root
-    if 16 * min(size, R2 * D) + 24 * R2 + 16 * D > TABLE_CACHE_MAX_BYTES:
+    # 16 bytes per bin (r, count), 24 per shell (shell_n, starts, points), 16
+    # per root; the point count is needed only when R2 * D bins would not fit
+    budget = TABLE_CACHE_MAX_BYTES - 24 * R2 - 16 * D
+    if 16 * R2 * D > budget and 16 * ball_count(nu, R2) > budget:
         return None
     keys, count = _bin_ball(nu, R2, nums, D)
     n = keys // D
@@ -424,3 +365,41 @@ def shell_residue_table(nu: int, R2: int, chi: Character) -> ShellResidueTable |
         _, old = _TABLE_CACHE.popitem(last=False)
         _TABLE_CACHE_BYTES -= old.nbytes
     return table
+
+
+def ball_weighted_sum(nu: int, R2: int, chi: Character, weight) -> tuple[complex, int]:
+    """sum over nonzero |n|^2 <= R2 of weight(|n|, n) * exp(2 pi i <n, alpha>),
+    and the number of points summed.
+
+    ``weight(norms, rows)`` receives the float64 norms and the int64 rows and
+    returns weights, or a stack of weights summed each along the last axis.
+    Deterministic (lexicographic order); the ball is the cached array when it
+    has at most ``CACHED_BALL_ROWS`` points and streamed in chunks otherwise.
+    """
+    small = ball_count(nu, R2) <= CACHED_BALL_ROWS
+    total = 0j
+    terms = 0
+    for chunk in (ball_array(nu, R2),) if small else ball_chunks(nu, R2):
+        norms = np.sqrt((chunk.astype(np.float64) ** 2).sum(axis=1))
+        total = total + (weight(norms, chunk) * pairing_phases(chunk, chi)).sum(axis=-1)
+        terms += chunk.shape[0]
+    return total, terms
+
+
+def norm_sum(
+    weight, nu: int, R2: int, chi: Character, mult: int = 1, table_R2: int | None = None
+) -> tuple[complex, int]:
+    """sum over nonzero |n|^2 <= R2 of weight(|n|) * exp(2 pi i mult <n, alpha>),
+    and the number of points summed.
+
+    Read per shell from the shell-residue table of ``chi`` over |v|^2 <=
+    ``table_R2`` (default R2; a larger table serves every smaller ball and
+    every multiple of alpha) when that table fits the table cache, otherwise
+    summed over the ball point by point.  ``weight`` may return a stack of
+    weights, as for :func:`ball_weighted_sum`.
+    """
+    table = shell_residue_table(nu, R2 if table_R2 is None else table_R2, chi)
+    if table is None:
+        return ball_weighted_sum(nu, R2, chi.scaled(mult), lambda norms, rows: weight(norms))
+    norms, sums, terms = table.fold(mult, R2)
+    return (weight(norms) * sums).sum(axis=-1), terms

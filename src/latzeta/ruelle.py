@@ -111,50 +111,10 @@ def _exp_tail_estimate(nu: int, sigma: float, R: float) -> float:
     return area * math.factorial(nu - 1) * math.exp(-u) * acc / sigma**nu
 
 
-def _ball_weighted_sum(
-    nu: int,
-    R2: int,
-    chi: Character,
-    weight,
-) -> tuple[complex, int]:
-    """sum over nonzero |n|^2 <= R2 of weight(|n|, n) * exp(2 pi i <n, alpha>),
-    and the number of points summed.
-
-    ``weight(norms, rows)`` receives the float64 norms and the int64 rows and
-    returns weights, or a stack of weights summed each along the last axis.
-    Deterministic (lexicographic order); moderate balls come from the shared
-    cache, large ones are streamed in chunks.
-    """
-    total = 0j
-    terms = 0
-    for chunk in lattice.ball_pass(nu, R2):
-        norms = np.sqrt((chunk.astype(np.float64) ** 2).sum(axis=1))
-        w = weight(norms, chunk)
-        ph = lattice.pairing_phases(chunk, chi)
-        total = total + (w * ph).sum(axis=-1)
-        terms += chunk.shape[0]
-    return total, terms
-
-
-def _table(nu: int, radius: float, chi: Character) -> lattice.ShellResidueTable | None:
-    """The shell-residue table that every norm-only sum of a truncation at
-    ``radius`` reads (sub-radii down to 2 read prefixes of it), or None when
-    it would outgrow the table cache."""
-    return lattice.shell_residue_table(nu, int(math.ceil(max(radius, 2.0) ** 2)), chi)
-
-
-def _norm_sum(weight, nu: int, R2: int, chi: Character, mult: int, table) -> tuple[complex, int]:
-    """sum over nonzero |n|^2 <= R2 of weight(|n|) * exp(2 pi i mult <n, alpha>),
-    and the number of points summed.
-
-    Read from ``table`` (one weight per shell) or, when there is none, summed
-    over the ball; ``weight`` may return a stack of weights, as for
-    :func:`_ball_weighted_sum`.
-    """
-    if table is None:
-        return _ball_weighted_sum(nu, R2, chi.scaled(mult), lambda norms, rows: weight(norms))
-    norms, sums, terms = table.fold(mult, R2)
-    return (weight(norms) * sums).sum(axis=-1), terms
+def _table_R2(radius: float) -> int:
+    """The ball of the shell-residue table that every norm-only sum of a
+    truncation at ``radius`` reads (sub-radii down to 2 read prefixes of it)."""
+    return int(math.ceil(max(radius, 2.0) ** 2))
 
 
 def g_direct(s: complex, chi: Character | None, nu: int, tr: Truncation | None = None) -> SeriesValue:
@@ -163,7 +123,7 @@ def g_direct(s: complex, chi: Character | None, nu: int, tr: Truncation | None =
     tr = tr or default_truncation(s)
     chi = _as_character(chi, nu)
     R2 = int(math.ceil(tr.radius**2))
-    val, terms = _norm_sum(lambda norms: np.exp(-s * norms), nu, R2, chi, 1, _table(nu, tr.radius, chi))
+    val, terms = lattice.norm_sum(lambda norms: np.exp(-s * norms), nu, R2, chi, 1, _table_R2(tr.radius))
     tail = _exp_tail_estimate(nu, s.real, tr.radius)
     return SeriesValue(complex(val), terms, tail)
 
@@ -268,12 +228,13 @@ def log_G(s: complex, chi: Character | None, nu: int, tr: Truncation | None = No
     s = _require_right_half(s)
     tr = tr or default_truncation(s)
     chi = _as_character(chi, nu)
-    return _log_G(s, chi, 1, nu, tr, _table(nu, tr.radius, chi))
+    return _log_G(s, chi, 1, nu, tr)
 
 
-def _log_G(s: complex, chi: Character, mult: int, nu: int, tr: Truncation, table) -> SeriesValue:
+def _log_G(s: complex, chi: Character, mult: int, nu: int, tr: Truncation) -> SeriesValue:
     """log G(s, mult * alpha), every g term read from the base character's
-    ``table`` (g(l s, l mult alpha) at radius max(2, radius / l))."""
+    table (g(l s, l mult alpha) at radius max(2, radius / l))."""
+    table_R2 = _table_R2(tr.radius)
     total = 0j
     terms = 0
     tail = 0.0
@@ -282,8 +243,8 @@ def _log_G(s: complex, chi: Character, mult: int, nu: int, tr: Truncation, table
         if u.real > 50.0 and ell > 1:
             break
         radius = max(2.0, tr.radius / ell)
-        val, n = _norm_sum(
-            lambda norms: np.exp(-u * norms), nu, int(math.ceil(radius**2)), chi, mult * ell, table
+        val, n = lattice.norm_sum(
+            lambda norms: np.exp(-u * norms), nu, int(math.ceil(radius**2)), chi, mult * ell, table_R2
         )
         total += complex(val) / ell
         terms += n
@@ -312,7 +273,6 @@ def _log_L_euler(s: complex, chi: Character, nu: int, tr: Truncation) -> SeriesV
 def _log_L_mobius(s: complex, chi: Character, nu: int, tr: Truncation) -> SeriesValue:
     """sum_m mu(m) log G(m s, m alpha)."""
     st = ensure_sieve(tr.mobius_limit)
-    table = _table(nu, tr.radius, chi)
     total = 0j
     terms = 0
     tail = 0.0
@@ -322,7 +282,7 @@ def _log_L_mobius(s: complex, chi: Character, nu: int, tr: Truncation) -> Series
             continue
         if (m * s).real > 50.0:
             break
-        gv = _log_G(m * s, chi, m, nu, tr, table)
+        gv = _log_G(m * s, chi, m, nu, tr)
         total += mu * gv.value
         terms += gv.terms
         tail += gv.tail_estimate
@@ -333,7 +293,7 @@ def _log_L_mobius(s: complex, chi: Character, nu: int, tr: Truncation) -> Series
 def _log_L_series(s: complex, chi: Character, nu: int, tr: Truncation) -> SeriesValue:
     """sum_n M_nu(n, alpha, 1) e^{-s sqrt(n)} as a gcd-weighted ball sum."""
     R2 = int(math.ceil(tr.radius**2))
-    val, terms = _ball_weighted_sum(
+    val, terms = lattice.ball_weighted_sum(
         nu, R2, chi, lambda norms, rows: np.exp(-s * norms) / lattice.row_gcd(rows)
     )
     tail = _exp_tail_estimate(nu, s.real, tr.radius)
@@ -382,7 +342,7 @@ def _phi_dual_pair(
     same n, so the combination in log_deriv_L cancels them exactly.
     """
     st = ensure_sieve(tr.mobius_limit)
-    table = _table(nu, tr.radius, chi)
+    table_R2 = _table_R2(tr.radius)
     area = sphere_area(nu)
     pref = area / (2.0 * (2.0 * math.pi) ** nu)
     phi1 = 0j
@@ -400,7 +360,7 @@ def _phi_dual_pair(
             return np.stack([e, (n * norms) * e])
 
         sub_R2 = int(math.ceil(max(2.0, tr.radius / n) ** 2))
-        (e0, e1), _ = _norm_sum(weights, nu, sub_R2, chi, n, table)
+        (e0, e1), _ = lattice.norm_sum(weights, nu, sub_R2, chi, n, table_R2)
         # Phi_1 n-term: gam/n * pref/s * (1 + e0)
         phi1 += gam / n * pref / s * (1.0 + complex(e0))
         # Phi_2 n-term: gam/n * pref/((nu+1) s) * [ (1+e0)/s^2 + e1/s ]

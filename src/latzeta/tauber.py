@@ -3,9 +3,8 @@
 The asymptotic constants carry the 1/sigma_0 factor of the Tauberian theorem
 (residue/abscissa), which the source text dropped for nu != 2; at x = 0 they
 reduce to the ball-volume constant pi^{nu/2}/Gamma(nu/2+1), the cleanest
-sanity anchor.  Partial sums are computed either by a direct ball sweep with
-per-vector gcd or through exact cumulative lattice counts, whichever is
-feasible at the requested size.
+sanity anchor.  Partial sums come from exact lattice-point counts through
+the Moebius square-class decomposition of the gcd weight.
 """
 
 from __future__ import annotations
@@ -18,7 +17,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .arith import bernoulli, moebius, r_table
+from .arith import bernoulli, multiplicative_table, r_table
 from .errors import DomainError, UnsupportedRegime
 from .special import EvalResult, dirichlet_L4, gamma_half, riemann_zeta, zeta_even_exact
 
@@ -34,8 +33,6 @@ __all__ = [
     "make_report",
     "report_csv",
 ]
-
-_SWEEP_LIMIT = 3 * 10**7  # max lattice points for the direct ball sweep
 
 
 def _zeta(s: float) -> float:
@@ -104,62 +101,40 @@ def D_series(nu: int, s: float, x: float) -> EvalResult:
 # ---------------------------------------------------------------------------
 
 
-def _partial_sum_sweep(nu: int, X: int, x: float) -> float:
-    """One pass over the ball |m|^2 <= X accumulating gcd(m)^{-x} (origin excluded)."""
-    R = math.isqrt(X)
-    total = 0.0
+def _lattice_counts(nu: int, X: int):
+    """Z -> N_nu(Z) = #{v in Z^nu : |v|^2 <= Z}, origin included, for int64
+    arrays of 0 <= Z <= X: 1 at nu = 0, the number of k in -isqrt(Z)..isqrt(Z)
+    at nu = 1, the cumulative counting table r_nu above."""
+    if nu == 0:
+        return np.ones_like
     if nu == 1:
-        ks = np.arange(1, R + 1, dtype=np.float64)
-        return float(2.0 * (ks ** (-float(x))).sum())
-    # slice over the leading coordinate; inner box enumerated per slice
-    from .lattice import _ball_with_origin, row_gcd
-
-    for lead in range(-R, R + 1):
-        rem = X - lead * lead
-        g = np.gcd(np.int64(abs(lead)), row_gcd(_ball_with_origin(nu - 1, rem)))
-        w = g.astype(np.float64)
-        mask = g > 0
-        total += float((w[mask] ** (-float(x))).sum())
-    return total
-
-
-def _count_coeff(u: int, x: float) -> float:
-    """c_x(u) = sum_{l d = u} mu(d) l^{-x}."""
-    acc = 0.0
-    for d in range(1, u + 1):
-        if u % d == 0:
-            mu = moebius(d)
-            if mu:
-                acc += mu * float(u // d) ** (-float(x))
-    return acc
-
-
-def _partial_sum_counts(nu: int, X: int, x: float) -> float:
-    """sum_{n<=X} M_nu(n, x) = sum_u c_x(u) N_nu(floor(X/u^2)) from exact counts."""
-    r = r_table(nu, X)
-    N = np.cumsum(r, dtype=np.float64)
-    N -= 1.0  # drop the origin
-    total = 0.0
-    u = 1
-    while u * u <= X:
-        total += _count_coeff(u, x) * float(N[X // (u * u)])
-        u += 1
-    return total
+        squares = np.arange(math.isqrt(X) + 1, dtype=np.int64) ** 2
+        return lambda Z: 2 * np.searchsorted(squares, Z, side="right") - 1
+    cumulative = np.cumsum(r_table(nu, X))
+    return lambda Z: cumulative[Z]
 
 
 def partial_sum_M(nu: int, X: int, x: float) -> float:
-    """sum_{n <= X} M_nu(n, 0, x).
+    """sum_{n <= X} M_nu(n, 0, x) = sum_{u <= sqrt X} c_x(u) (N_nu(floor(X/u^2)) - 1).
 
-    Uses the direct gcd-weighted ball sweep when the ball is small enough,
-    otherwise the exact count route through r_nu tables and the Moebius
-    square-class decomposition; the two agree on overlapping ranges.
+    Every nonzero v is gcd(v) times a primitive vector, so the gcd weight
+    splits over square classes with c_x = id^{-x} * mu, the multiplicative
+    function with c_x(p^a) = p^{-ax} - p^{-(a-1)x}.  Each exact ball count
+    N_nu(Y) is sum_{|m| <= sqrt Y} N_{nu-1}(Y - m^2), read from exact
+    (nu-1)-dimensional counts.
     """
     if X < 1:
         raise ValueError("X must be >= 1")
-    ball_points = math.pi ** (nu / 2) / gamma_half(nu + 2) * float(X) ** (nu / 2)
-    if ball_points <= _SWEEP_LIMIT:
-        return _partial_sum_sweep(nu, X, x)
-    return _partial_sum_counts(nu, X, x)
+    x = float(x)
+    R = math.isqrt(X)
+    c = multiplicative_table(R, lambda p, a: float(p) ** (-a * x) - float(p) ** (-(a - 1) * x), np.float64)
+    counts = _lattice_counts(nu - 1, X)
+    N = np.empty(R, dtype=np.float64)
+    for u in range(1, R + 1):
+        Y = X // (u * u)
+        m = np.arange(-math.isqrt(Y), math.isqrt(Y) + 1, dtype=np.int64)
+        N[u - 1] = int(counts(Y - m * m).sum()) - 1  # drop the origin
+    return float(c[1:] @ N)
 
 
 # ---------------------------------------------------------------------------

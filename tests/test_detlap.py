@@ -1,5 +1,6 @@
 import cmath
 import math
+from collections import OrderedDict
 from fractions import Fraction
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from scipy import integrate
 from scipy.special import j0 as scipy_j0
 
-from latzeta import arith, detlap
+from latzeta import arith, detlap, lattice
 from latzeta.errors import DomainError
 from latzeta.lattice import Character
 from latzeta.special import bessel_K, bessel_K_array, sphere_area
@@ -249,6 +250,33 @@ class TestShellRegrouping:
             a = detlap.log_det_even(1, chi, s)
             b = log_det_even_by_shell(1, chi, s)
             assert abs(a - b) <= 1e-12 * max(1.0, abs(a))
+
+
+class TestTableFallback:
+    def test_log_det_without_table_agrees(self, monkeypatch):
+        # a table that could outgrow the cache budget is not built; the
+        # determinants' sums then come from the ball, point by point
+        cases = [
+            (detlap.log_det_odd, 1, Character((Fraction(1, 3), Fraction(0), Fraction(1, 2)))),
+            (detlap.log_det_odd, 1, None),
+            (detlap.log_det_even, 1, Character((Fraction(1, 4), Fraction(1, 3)))),
+            (detlap.log_det_even, 2, Character((Fraction(1, 7),) * 4)),
+        ]
+
+        def values():
+            return [f(ell, chi, s) for f, ell, chi in cases for s in (0.6, 1.3)]
+
+        monkeypatch.setattr(lattice, "_TABLE_CACHE", OrderedDict())
+        monkeypatch.setattr(lattice, "_TABLE_CACHE_BYTES", 0)
+        with_table = values()
+        assert lattice._TABLE_CACHE
+        monkeypatch.setattr(lattice, "_TABLE_CACHE", OrderedDict())
+        monkeypatch.setattr(lattice, "_TABLE_CACHE_BYTES", 0)
+        monkeypatch.setattr(lattice, "TABLE_CACHE_MAX_BYTES", 0)
+        without = values()
+        assert not lattice._TABLE_CACHE
+        for a, b in zip(with_table, without):
+            assert abs(a - b) <= 1e-13 * abs(b)
 
 
 class TestDetEven:

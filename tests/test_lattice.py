@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from latzeta import arith, lattice
-from latzeta.errors import DimensionMismatch, ZeroVector
-from latzeta.lattice import Character, LatticeVector
+from latzeta.errors import DimensionMismatch
+from latzeta.lattice import Character
 
 
 def rows(arr):
@@ -93,8 +93,8 @@ class TestEnumerateShell:
     @given(st.integers(1, 4), st.integers(1, 60))
     @settings(max_examples=40, deadline=None)
     def test_shell_members_have_requested_norm(self, nu, n):
-        for v in lattice.shell_array(nu, n):
-            assert LatticeVector(tuple(int(c) for c in v)).squared_norm == n
+        arr = lattice.shell_array(nu, n)
+        assert np.all((arr * arr).sum(axis=1) == n)
 
     def test_count_invariant_under_coordinate_permutation(self):
         # the shell is symmetric under coordinate permutation
@@ -168,22 +168,26 @@ class TestEnumerateBall:
         assert count == int(arith.r_table(5, R2)[1:].sum())
 
 
+def gcd_of(v):
+    """row_gcd of the single row v."""
+    return int(lattice.row_gcd(np.array([v], dtype=np.int64))[0])
+
+
 class TestGcdPrimitive:
     def test_examples(self):
-        assert lattice.vec_gcd((2, 4)) == 2
-        assert lattice.vec_gcd((3, 0, 5)) == 1
-        assert lattice.vec_gcd((-6, 9, 0, 15)) == 3
+        # zero entries are ignored, so rows padded with zeros keep their gcd
+        got = lattice.row_gcd(np.array([(2, 4, 0, 0), (3, 0, 5, 0), (-6, 9, 0, 15)]))
+        assert got.tolist() == [2, 1, 3]
 
-    def test_zero_vector_raises(self):
-        with pytest.raises(ZeroVector):
-            lattice.vec_gcd((0, 0))
-        with pytest.raises(ZeroVector):
-            lattice.is_primitive((0, 0, 0))
+    def test_zero_row_has_gcd_zero(self):
+        # no primitivity test (gcd == 1) accepts the zero row
+        assert lattice.row_gcd(np.zeros((2, 3), dtype=np.int64)).tolist() == [0, 0]
+        assert gcd_of((0, 0)) == 0
 
     def test_is_primitive(self):
-        assert lattice.is_primitive((1, 0))
-        assert not lattice.is_primitive((2, 2))
-        assert lattice.is_primitive((3, 5))
+        assert gcd_of((1, 0)) == 1
+        assert gcd_of((2, 2)) != 1
+        assert gcd_of((3, 5)) == 1
 
     @given(st.lists(st.integers(-50, 50), min_size=1, max_size=5))
     @settings(max_examples=100, deadline=None)
@@ -191,10 +195,17 @@ class TestGcdPrimitive:
         v = tuple(cs)
         if not any(v):
             return
-        d = lattice.vec_gcd(v)
+        d = gcd_of(v)
         u = tuple(c // d for c in v)
-        assert lattice.is_primitive(u)
+        assert gcd_of(u) == 1
         assert tuple(d * c for c in u) == v
+
+
+def exact_phase(v, chi):
+    """exp(2 pi i <v, alpha>) with the phase reduced mod 1 in exact rationals
+    first, one vector at a time."""
+    phase = sum((c * a for c, a in zip(v, chi.alpha)), Fraction(0)) % 1
+    return complex(np.exp(2j * np.pi * float(phase)))
 
 
 class TestCharacter:
@@ -211,42 +222,49 @@ class TestCharacter:
         assert c.scaled(2).alpha == (Fraction(2, 3), Fraction(0))
 
     def test_pairing_trivial_character_is_exactly_one(self):
-        for v in ((3, -7), (0, 5)):
-            assert lattice.char_pairing(v, Character.zero(2)) == 1.0
+        assert lattice.pairing_phases(np.array([(3, -7), (0, 5)]), Character.zero(2)).tolist() == [1.0, 1.0]
 
     def test_pairing_examples(self):
         c = Character((Fraction(1, 2), Fraction(1, 3)))
-        assert lattice.char_pairing((1, 0), c) == pytest.approx(-1.0)
+        assert lattice.pairing_phases(np.array([(1, 0)]), c)[0] == pytest.approx(-1.0)
         c2 = Character((Fraction(1, 4), Fraction(1, 4)))
         # exponent 1/4 + 1/4 = 1/2 gives -1
-        assert lattice.char_pairing((1, 1), c2) == pytest.approx(-1.0)
+        assert lattice.pairing_phases(np.array([(1, 1)]), c2)[0] == pytest.approx(-1.0)
 
     def test_pairing_unit_modulus(self):
         c = Character((Fraction(2, 7), Fraction(5, 11)))
-        for v in ((1, 2), (-3, 4), (6, -5)):
-            assert abs(abs(lattice.char_pairing(v, c)) - 1.0) < 1e-15
+        for z in lattice.pairing_phases(np.array([(1, 2), (-3, 4), (6, -5)]), c):
+            assert abs(abs(z) - 1.0) < 1e-15
 
     def test_dimension_mismatch(self):
+        # a character is checked against the lattice dimension where a sum takes it
         with pytest.raises(DimensionMismatch):
-            lattice.char_pairing((1, 2, 3), Character.zero(2))
+            arith.r_twisted(3, 14, Character.zero(2))
 
     def test_pairing_phases_match_scalar(self):
         c = Character((Fraction(1, 3), Fraction(2, 5)))
         arr = lattice.ball_array(2, 8)
         vec = lattice.pairing_phases(arr, c)
         for row, z in zip(arr, vec):
-            assert z == pytest.approx(lattice.char_pairing(tuple(row), c), abs=1e-14)
+            assert z == pytest.approx(exact_phase(tuple(int(x) for x in row), c), abs=1e-14)
 
 
 class TestLatticeVector:
     def test_norms(self):
-        v = LatticeVector((3, 4))
-        assert v.squared_norm == 25
-        assert v.norm == pytest.approx(5.0)
+        # the norms every point-by-point lattice sum hands to its weight
+        seen = {}
+
+        def weight(norms, rows):
+            seen.update(zip(map(tuple, rows.tolist()), norms))
+            return norms
+
+        lattice.ball_weighted_sum(2, 25, Character.zero(2), weight)
+        assert seen[(3, 4)] == pytest.approx(5.0)
+        assert all(n * n == pytest.approx(sum(c * c for c in v)) for v, n in seen.items())
 
     def test_dim_validation(self):
         with pytest.raises(ValueError):
-            LatticeVector(())
+            lattice.shell_array(0, 1)
 
 
 class TestShellResidueTable:
@@ -322,3 +340,22 @@ class TestShellResidueTable:
         monkeypatch.setattr(lattice, "TABLE_CACHE_MAX_BYTES", 1000)
         assert lattice.shell_residue_table(3, 100, Character.zero(3)) is None
         assert not lattice._TABLE_CACHE
+
+    def test_table_from_streamed_or_cached_ball(self, monkeypatch):
+        # a table build streams a ball nobody cached, in several blocks here
+        # (2.9e5 points), and caches no ball itself; from a cached ball it
+        # gets the same bins
+        chi = Character((Fraction(1, 6), Fraction(1, 2), Fraction(1, 3)))
+        monkeypatch.setattr(lattice, "_BALL_CACHE", {})
+        monkeypatch.setattr(lattice, "_BALL_CACHE_ROWS", 0)
+        streamed = lattice.shell_residue_table(3, 1700, chi)
+        assert not lattice._BALL_CACHE
+        assert lattice.ball_count(3, 1700) > lattice.CHUNK_ROWS
+        lattice.ball_array(3, 1700)
+        assert (3, 1700) in lattice._BALL_CACHE
+        monkeypatch.setattr(lattice, "_TABLE_CACHE", OrderedDict())
+        monkeypatch.setattr(lattice, "_TABLE_CACHE_BYTES", 0)
+        cached = lattice.shell_residue_table(3, 1700, chi)
+        for field in ("shell_n", "starts", "points", "r", "count"):
+            assert np.array_equal(getattr(streamed, field), getattr(cached, field)), field
+        assert streamed.points[-1] == lattice.ball_count(3, 1700)

@@ -308,10 +308,10 @@ class TestShellResidueReads:
             (Character((Fraction(1, 997), Fraction(0), Fraction(5, 997))), (1, 2, 996)),
         )
         for chi, mults in cases:
-            table = ruelle._table(3, 12.0, chi)
+            assert lattice.shell_residue_table(3, 144, chi) is not None
             for mult in mults:
                 for u, R2 in ((0.9 + 0.3j, 144), (2.7, 16)):
-                    got, terms = ruelle._norm_sum(lambda r: np.exp(-u * r), 3, R2, chi, mult, table)
+                    got, terms = lattice.norm_sum(lambda r: np.exp(-u * r), 3, R2, chi, mult, table_R2=144)
                     want = self.brute_g(u, chi, mult, 3, R2)
                     assert abs(got - want) < 1e-13 * max(1.0, abs(want)), (chi, mult, u)
                     assert terms == lattice.ball_count(3, R2)
