@@ -227,9 +227,9 @@ def cmd_detlap(args, cfg: RunConfig) -> int:
         print("error: need Re(s) > 0 and nu >= 1", file=sys.stderr)
         return EXIT_BADARGS
     chi = parse_alpha(args.alpha, nu)
+    ell = nu // 2
     payload: dict = {"nu": nu, "s": str(s), "alpha": args.alpha or "0"}
     if nu % 2 == 1:
-        ell = (nu - 1) // 2
         val = detlap.det_odd(ell, chi, s)
         payload["det"] = {"re": val.real, "im": val.imag}
         if nu == 1:
@@ -240,11 +240,9 @@ def cmd_detlap(args, cfg: RunConfig) -> int:
         if s.imag != 0:
             print("error: even dimensions require real s", file=sys.stderr)
             return EXIT_BADARGS
-        ell = nu // 2
         val = detlap.det_even(ell, chi, s.real)
         payload["det"] = {"re": val, "im": 0.0}
     if args.verify:
-        ell = (nu - 1) // 2 if nu % 2 == 1 else nu // 2
         if nu % 2 == 1:
             f = lambda t: detlap.log_det_odd(ell, chi, t).real
         else:

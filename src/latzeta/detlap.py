@@ -16,12 +16,10 @@ ball point by point, so that check stays independent of the shell tables.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
-from scipy import integrate
 
 from . import lattice
 from .errors import DomainError
@@ -31,8 +29,6 @@ from .special import bessel_K_array, sphere_area
 
 __all__ = [
     "c_coeff",
-    "LadderCoeffs",
-    "ladder_coeffs",
     "P_poly",
     "Q_func",
     "det_truncation",
@@ -58,42 +54,10 @@ def c_coeff(ell: int, k: int) -> Fraction:
         raise IndexError(f"need 0 <= k <= ell, got k={k}, ell={ell}")
     if k == 0:
         return Fraction(1)
-    if ell == 0:
-        return Fraction(1)
     prod = Fraction(1)
     for j in range(1 - k, k + 1):
         prod *= ell + j
     return prod / (Fraction(2) ** k * math.factorial(k))
-
-
-@dataclass(frozen=True)
-class LadderCoeffs:
-    """The full row c_0^(ell) .. c_ell^(ell), validated against the recursion
-    c_k^(ell) - c_k^(ell-1) = (ell - k + 1) c_{k-1}^(ell)."""
-
-    ell: int
-    c: tuple[Fraction, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.c) != self.ell + 1 or self.c[0] != 1:
-            raise ValueError("need ell + 1 coefficients with c_0 = 1")
-        for k in range(1, self.ell + 1):
-            prev = c_coeff(self.ell - 1, k) if k <= self.ell - 1 else Fraction(0)
-            if self.c[k] - prev != (self.ell - k + 1) * self.c[k - 1]:
-                raise ValueError(f"recursion fails at k={k}")
-
-
-def ladder_coeffs(ell: int) -> LadderCoeffs:
-    """All c-coefficients for one ell, as a validated record."""
-    return LadderCoeffs(ell=ell, c=tuple(c_coeff(ell, k) for k in range(ell + 1)))
-
-
-def _double_factorial(n: int) -> int:
-    out = 1
-    while n > 1:
-        out *= n
-        n -= 2
-    return out
 
 
 def P_poly(ell: int, s: complex, a: float) -> complex:
@@ -102,7 +66,7 @@ def P_poly(ell: int, s: complex, a: float) -> complex:
         raise ValueError("ell must be >= 0")
     s = complex(s)
     if a == 0:
-        return 2.0 ** (ell + 1) * s ** (2 * ell + 1) / _double_factorial(2 * ell + 1)
+        return 2.0 ** (ell + 1) * s ** (2 * ell + 1) / math.prod(range(2 * ell + 1, 0, -2))
     acc = 0j
     for k in range(ell + 1):
         acc += float(c_coeff(ell, k)) * a ** (-k) * s ** (ell - k)
@@ -129,17 +93,27 @@ def det_truncation(s: complex) -> Truncation:
     return Truncation(radius=max(6.0, 30.0 / (2.0 * math.pi * sr)), ell_limit=1, mobius_limit=1)
 
 
+def _det_R2(s: complex, tr: Truncation | None) -> int:
+    """The squared radius of a determinant-side lattice sum."""
+    return int(math.ceil((tr or det_truncation(s)).radius ** 2))
+
+
+def _table_R2(R2: int) -> int:
+    """R2 rounded up to the grid 36 ceil-times 1.3: the shell-residue table
+    that a sum over |n|^2 <= R2 reads.  One ladder's nodes spread R2 by ~1.27x,
+    so a ladder reads at most two tables."""
+    table = 36
+    while table < R2:
+        table = math.ceil(1.3 * table)
+    return table
+
+
 # ---------------------------------------------------------------------------
 # determinants
 # ---------------------------------------------------------------------------
 
 
-def log_det_odd(
-    ell: int,
-    chi: Character | None,
-    s: complex,
-    tr: Truncation | None = None,
-) -> complex:
+def log_det_odd(ell: int, chi: Character | None, s: complex, tr: Truncation | None = None) -> complex:
     """Exponent of the nu = 2 ell + 1 canonical representative.
 
     -(-2 pi)^{ell+1} s^{2ell+1} / (2ell+1)!!
@@ -149,11 +123,9 @@ def log_det_odd(
     if s.real <= 0:
         raise DomainError("need Re(s) > 0")
     nu = 2 * ell + 1
-    chi = _as_character(chi, nu)
-    tr = tr or det_truncation(s)
-    R2 = int(math.ceil(tr.radius**2))
+    chi, R2 = _as_character(chi, nu), _det_R2(s, tr)
     cs = [float(c_coeff(ell, k)) for k in range(ell + 1)]
-    lead = -((-2.0 * math.pi) ** (ell + 1)) / _double_factorial(2 * ell + 1) * s ** (2 * ell + 1)
+    lead = -((-2.0 * math.pi) ** (ell + 1)) / math.prod(range(2 * ell + 1, 0, -2)) * s ** (2 * ell + 1)
 
     def weight(norms):
         poly = np.zeros(norms.shape, dtype=complex)
@@ -161,23 +133,16 @@ def log_det_odd(
             poly += c * (2.0 * math.pi * norms) ** (-float(k)) * s ** (ell - k)
         return norms ** (-(ell + 1.0)) * poly * np.exp(-2.0 * math.pi * norms * s)
 
-    acc, _ = lattice.norm_sum(weight, nu, R2, chi)
+    acc, _ = lattice.norm_sum(weight, nu, R2, chi, table_R2=_table_R2(R2))
     return lead - complex(acc)
 
 
-def det_odd(
-    ell: int, chi: Character | None, s: complex, tr: Truncation | None = None
-) -> complex:
+def det_odd(ell: int, chi: Character | None, s: complex, tr: Truncation | None = None) -> complex:
     """det(Delta_{2ell+1, alpha} + s^2), canonical representative (mod exp(deg-2ell poly))."""
     return complex(np.exp(log_det_odd(ell, chi, s, tr)))
 
 
-def log_det_even(
-    ell: int,
-    chi: Character | None,
-    s: float,
-    tr: Truncation | None = None,
-) -> float:
+def log_det_even(ell: int, chi: Character | None, s: float, tr: Truncation | None = None) -> float:
     """Exponent of the nu = 2 ell canonical representative (real s only).
 
     2 (-1)^ell pi^ell / ell! * s^{2ell} log s
@@ -189,13 +154,12 @@ def log_det_even(
     if s <= 0:
         raise DomainError("det_even requires real s > 0")
     nu = 2 * ell
-    chi = _as_character(chi, nu)
-    tr = tr or det_truncation(s)
-    R2 = int(math.ceil(tr.radius**2))
+    chi, R2 = _as_character(chi, nu), _det_R2(s, tr)
     lead = 2.0 * (-1.0) ** ell * math.pi**ell / math.factorial(ell) * s ** (2 * ell) * math.log(s)
 
     acc, _ = lattice.norm_sum(
-        lambda norms: norms ** (-float(ell)) * bessel_K_array(ell, 2.0 * math.pi * norms * s), nu, R2, chi
+        lambda norms: norms ** (-float(ell)) * bessel_K_array(ell, 2.0 * math.pi * norms * s),
+        nu, R2, chi, table_R2=_table_R2(R2),
     )
     return lead - 2.0 * s**ell * float(acc.real)
 
@@ -222,39 +186,56 @@ def det_dim1_exact(alpha: Fraction | float, s: complex) -> complex:
 # ---------------------------------------------------------------------------
 
 
-def spectral_sum(
-    nu: int,
-    chi: Character | None,
-    s: float,
-    j: int,
-    radius: float | None = None,
-) -> float:
-    """sum_m (|m + alpha|^2 + s^2)^{-j}, truncated ball plus integral tail.
+def spectral_sum(nu: int, chi: Character | None, s: float, j: int, radius: float | None = None) -> float:
+    """sum_m (|m + alpha|^2 + s^2)^{-j}, the shifted ball |m + alpha| <= radius
+    (:func:`latzeta.lattice.shifted_norm_sum`) plus the radial integral from
+    radius + 1/2 in closed form.
 
-    Requires j > nu/2.  The tail beyond the ball is approximated by the
-    radial integral, which leaves a residual of order radius^{nu-2j-2}.
+    Requires j > nu/2.  The residual scales ~ radius^{nu-2j-2}; the default
+    radius shrinks with nu, which the faster decay of j > nu/2 allows.
     """
     if 2 * j <= nu:
         raise DomainError("need j > nu/2")
     if s <= 0:
         raise DomainError("need s > 0")
     chi = _as_character(chi, nu)
-    if radius is not None:
-        R = float(radius)
-    else:
-        # residual after the integral correction scales ~ R^{nu-2j-2};
-        # larger dimensions need smaller R to stay affordable but also
-        # gain from the faster decay of j > nu/2
-        default = {1: 50_000.0, 2: 250.0, 3: 150.0}
-        R = max(default.get(nu, 40.0), 12.0 * s)
-    total = 0.0
-    for sq in lattice.shifted_ball_sq(nu, chi, R):
-        total += float(np.sum((sq + s * s) ** (-float(j))))
+    R = float(radius) if radius is not None else max({1: 50_000.0, 2: 250.0, 3: 150.0}.get(nu, 40.0), 12.0 * s)
+    total, _ = lattice.shifted_norm_sum(lambda sq: (sq + s * s) ** (-float(j)), nu, chi, R)
     area = sphere_area(nu - 1) if nu >= 2 else 2.0
-    tail, _ = integrate.quad(
-        lambda r: r ** (nu - 1) * (r * r + s * s) ** (-float(j)), R + 0.5, np.inf
-    )
-    return total + area * tail
+    return float(total) + area * _radial_tail(nu, s, j, R + 0.5)
+
+
+def _radial_tail(nu: int, s: float, j: int, r0: float) -> float:
+    """The integral of r^{nu-1} (r^2 + s^2)^{-j} over r > r0, for integer j > nu/2.
+
+    By parts, I_{n,j} = r0^{n-1} q^{1-j} / (2(j-1)) + (n-1)/(2(j-1)) I_{n-2,j-1}
+    with q = r0^2 + s^2: positive terms only, down to I_{1,j} = q^{1-j}/(2(j-1))
+    or to I_{0,j}.  I_{0,1} = atan(s/r0)/s; I_{0,j}, j >= 2, is the positive
+    series (q^{1/2-j}/2) sum_k (1/2)_k/k! x^k/(j-1/2+k), x = s^2/q, while
+    x < 1/2, and otherwise the upward recurrence from I_{0,1}, which has no
+    cancellation there.
+    """
+    q = r0 * r0 + s * s
+    n, scale, acc = nu - 1, 1.0, 0.0
+    while n >= 1:
+        acc += scale * r0 ** (n - 1) * q ** (1 - j) / (2 * (j - 1))
+        scale *= (n - 1) / (2 * (j - 1))
+        n, j = n - 2, j - 1
+    if n < 0:
+        return acc
+    x = s * s / q
+    if j == 1 or x >= 0.5:
+        base = math.atan(s / r0) / s
+        for i in range(1, j):  # I_{0,i+1} = ((2i-1) I_{0,i} - r0 q^{-i}) / (2 i s^2)
+            base = ((2 * i - 1) * base - r0 * q ** (-i)) / (2 * i * s * s)
+    else:
+        base, term, k = 0.0, 1.0, 0
+        while term > 1e-17 * base:
+            base += term / (j - 0.5 + k)
+            term *= x * (k + 0.5) / (k + 1)
+            k += 1
+        base *= 0.5 * q ** (0.5 - j)
+    return acc + scale * base
 
 
 def spectral_sum_dual_even(ell: int, chi: Character | None, s: float, tr: Truncation | None = None) -> float:
@@ -264,11 +245,10 @@ def spectral_sum_dual_even(ell: int, chi: Character | None, s: float, tr: Trunca
     Exponentially convergent; independent check of :func:`spectral_sum`.
     """
     nu = 2 * ell
-    chi = _as_character(chi, nu)
-    tr = tr or det_truncation(s)
-    R2 = int(math.ceil(tr.radius**2))
+    chi, R2 = _as_character(chi, nu), _det_R2(s, tr)
     acc, _ = lattice.norm_sum(
-        lambda norms: (2.0 * math.pi * norms / s) * bessel_K_array(1, 2.0 * math.pi * norms * s), nu, R2, chi
+        lambda norms: (2.0 * math.pi * norms / s) * bessel_K_array(1, 2.0 * math.pi * norms * s),
+        nu, R2, chi, table_R2=_table_R2(R2),
     )
     return math.pi**ell / math.factorial(ell) * (1.0 / (s * s) + float(acc.real))
 
@@ -276,9 +256,7 @@ def spectral_sum_dual_even(ell: int, chi: Character | None, s: float, tr: Trunca
 def psf_odd_rhs(ell: int, chi: Character | None, s: complex, tr: Truncation | None = None) -> complex:
     """2 (-1)^ell pi^{ell+1} sum_{n in Z^{2ell+1}} e^{2 pi i n a} e^{-2 pi s |n|}."""
     nu = 2 * ell + 1
-    chi = _as_character(chi, nu)
-    tr = tr or det_truncation(s)
-    R2 = int(math.ceil(tr.radius**2))
+    chi, R2 = _as_character(chi, nu), _det_R2(s, tr)
     acc, _ = lattice.ball_weighted_sum(nu, R2, chi, lambda norms, rows: np.exp(-2.0 * math.pi * s * norms))
     return 2.0 * (-1.0) ** ell * math.pi ** (ell + 1) * (1.0 + complex(acc))  # 1 is the n = 0 term
 
@@ -290,9 +268,7 @@ def psf_even_rhs(ell: int, chi: Character | None, s: float, tr: Truncation | Non
     factor-2ell slip.)
     """
     nu = 2 * ell
-    chi = _as_character(chi, nu)
-    tr = tr or det_truncation(s)
-    R2 = int(math.ceil(tr.radius**2))
+    chi, R2 = _as_character(chi, nu), _det_R2(s, tr)
     acc, _ = lattice.ball_weighted_sum(
         nu, R2, chi, lambda norms, rows: (2.0 * math.pi * norms) * bessel_K_array(1, 2.0 * math.pi * norms * s)
     )
@@ -344,35 +320,19 @@ def _fornberg_weights(x0: float, nodes: np.ndarray, m: int) -> np.ndarray:
 
 def _ladder_coeff_table(ell: int, mixed: bool) -> dict[int, dict[int, float]]:
     """Expansion of the ladder operator as sum_j c_j(s) d^j/ds^j, with c_j(s)
-    stored as {power-of-s: coefficient} monomial dicts."""
+    stored as {power-of-s: coefficient} monomial dicts: (1/(2s) d/ds)^ell,
+    followed by d/ds when ``mixed``."""
     coeffs: dict[int, dict[int, float]] = {0: {0: 1.0}}
-
-    def apply_half(cs):
+    for c, p in [(0.5, -1)] * ell + [(1.0, 0)] * mixed:  # apply c s^p d/ds
         out: dict[int, dict[int, float]] = {}
-        for j, mono in cs.items():
+        for j, mono in coeffs.items():
             for k, a in mono.items():
                 if k != 0:
                     out.setdefault(j, {})
-                    out[j][k - 2] = out[j].get(k - 2, 0.0) + a * k / 2.0
+                    out[j][k - 1 + p] = out[j].get(k - 1 + p, 0.0) + a * k * c
                 out.setdefault(j + 1, {})
-                out[j + 1][k - 1] = out[j + 1].get(k - 1, 0.0) + a / 2.0
-        return out
-
-    def apply_d(cs):
-        out: dict[int, dict[int, float]] = {}
-        for j, mono in cs.items():
-            for k, a in mono.items():
-                if k != 0:
-                    out.setdefault(j, {})
-                    out[j][k - 1] = out[j].get(k - 1, 0.0) + a * k
-                out.setdefault(j + 1, {})
-                out[j + 1][k] = out[j + 1].get(k, 0.0) + a
-        return out
-
-    for _ in range(ell):
-        coeffs = apply_half(coeffs)
-    if mixed:
-        coeffs = apply_d(coeffs)
+                out[j + 1][k + p] = out[j + 1].get(k + p, 0.0) + a * c
+        coeffs = out
     return coeffs
 
 

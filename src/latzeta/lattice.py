@@ -5,8 +5,9 @@ alpha in [0,1)^nu with exact rational components, paired with vectors through
 exp(2*pi*i <n, alpha>).  The pairing phase is reduced mod 1 in exact integer
 arithmetic before being exponentiated, so long sums do not accumulate phase
 drift.  Every lattice sum of the package runs here: point by point over the
-ball (:func:`ball_weighted_sum`), or per shell from a shell-by-residue table
-when the weight depends on |v| alone (:func:`norm_sum`).
+ball (:func:`ball_weighted_sum`), per shell from a shell-by-residue table
+when the weight depends on |v| alone (:func:`norm_sum`), or over the shifted
+ball by prefixes of sorted norms (:func:`shifted_norm_sum`).
 """
 
 from __future__ import annotations
@@ -29,11 +30,11 @@ __all__ = [
     "shell_array",
     "ShellResidueTable",
     "shell_residue_table",
-    "shifted_ball_sq",
     "row_gcd",
     "pairing_phases",
     "ball_weighted_sum",
     "norm_sum",
+    "shifted_norm_sum",
 ]
 
 
@@ -196,18 +197,6 @@ def ball_count(nu: int, R2: int) -> int:
     for prefix in _ball_blocks(nu - 1, R2, CHUNK_ROWS):
         total += int((2 * _isqrt(R2 - (prefix * prefix).sum(axis=1)) + 1).sum())
     return total
-
-
-def shifted_ball_sq(nu: int, chi: Character, R: float) -> Iterator[np.ndarray]:
-    """Yield |m + alpha|^2 for every m in Z^nu with |m + alpha|^2 <= R^2,
-    origin included, in float64 chunks."""
-    alphas = np.array([float(a) for a in chi.alpha])
-    a2 = float((alphas**2).sum())
-    if a2 <= R * R:
-        yield np.array([a2])
-    for chunk in ball_chunks(nu, int(math.ceil((R + math.sqrt(a2)) ** 2))):
-        sq = ((chunk + alphas) ** 2).sum(axis=1)
-        yield sq[sq <= R * R]
 
 
 def _shell_rows(sub: np.ndarray, n: int) -> np.ndarray:
@@ -403,3 +392,58 @@ def norm_sum(
         return ball_weighted_sum(nu, R2, chi.scaled(mult), lambda norms, rows: weight(norms))
     norms, sums, terms = table.fold(mult, R2)
     return (weight(norms) * sums).sum(axis=-1), terms
+
+
+# ---------------------------------------------------------------------------
+# shifted balls: sums of a weight of |m + alpha|^2
+# ---------------------------------------------------------------------------
+
+HEAD_POINTS = 1 << 22  # norms held at once by a shifted-ball sum (32 MB)
+
+
+def shifted_norm_sum(weight, nu: int, chi: Character, R: float) -> tuple[complex, int]:
+    """sum of weight(|m + alpha|^2) over every m in Z^nu with |m + alpha|^2 <= R^2,
+    origin included, and the number of points summed.
+
+    |m + alpha|^2 is the float sum of the (m_j + a_j)^2 taken left to right,
+    as numpy sums a row.  The first h <= 3 coordinates' pruned outer sum is
+    sorted into a head of norms (fewer coordinates when it would pass
+    ``HEAD_POINTS``).  Adding the other coordinates is monotone in the head
+    norm, so the ball's points over each tail point are a prefix of the head:
+    ``searchsorted`` finds it and a few steps make it exact.  ``weight`` is
+    called once per prefix; no integer rows are enumerated.
+    """
+    R2 = float(R) * float(R)
+    lines = [(np.arange(math.floor(-R - a) - 1, math.ceil(R - a) + 2) + float(a)) ** 2 for a in chi.alpha]
+    lines = [q[q <= R2] for q in lines]
+    head, h = lines[0], 1
+    while h < min(nu - 1, 3) and head.size * lines[h].size <= HEAD_POINTS:
+        head = (head[:, None] + lines[h]).ravel()
+        head, h = head[head <= R2], h + 1
+    if not head.size:
+        return 0.0, 0
+    head = np.sort(head)
+    tail, tsum = np.zeros((1, 0)), np.zeros(1)
+    for q in lines[h:]:
+        i, j = np.divmod(np.flatnonzero((tsum[:, None] + q).ravel() <= R2), q.size)
+        tail, tsum = np.column_stack([tail[i], q[j]]), tsum[i] + q[j]
+
+    def inside(k: np.ndarray) -> np.ndarray:
+        x = head[np.clip(k, 0, head.size - 1)]
+        for col in tail.T:
+            x = x + col
+        return x <= R2
+
+    k = np.searchsorted(head, R2 - tsum, side="right")
+    while (up := (k < head.size) & inside(k)).any():
+        k += up
+    while (down := (k > 0) & ~inside(k - 1)).any():
+        k -= down
+    total = 0.0
+    for n, row in zip(k.tolist(), tail):
+        if n:
+            x = head[:n]
+            for u in row:
+                x = x + u
+            total += weight(x).sum()
+    return total, int(k.sum())

@@ -183,13 +183,9 @@ def _dual_sum_truncated(s: complex, chi: Character, nu: int, radius: float) -> t
     the estimate above the lattice tail's boundary fluctuations."""
     R = int(math.ceil(radius))
     t = (nu + 1) / 2.0
-    total = 0j
-    terms = 0
-    for sq in lattice.shifted_ball_sq(nu, chi, R):
-        total += complex(np.sum((s * s + 4.0 * math.pi**2 * sq) ** (-t)))
-        terms += sq.shape[0]
+    total, terms = lattice.shifted_norm_sum(lambda sq: (s * s + 4.0 * math.pi**2 * sq) ** (-t), nu, chi, R)
     tail = (sphere_area(nu - 1) if nu >= 2 else 2.0) * (2.0 * math.pi) ** (-(nu + 1)) / max(R - 0.5, 1)
-    return total, tail, terms
+    return complex(total), tail, terms
 
 
 def g_poisson(s: complex, chi: Character | None, nu: int, tr: Truncation | None = None) -> SeriesValue:

@@ -201,6 +201,41 @@ class TestSpectralSum:
             got = detlap.spectral_sum(nu, Character(alpha), s, j, radius=R)
             assert abs(got - want) <= 1e-13 * abs(want)
 
+    @pytest.mark.parametrize("nu", [1, 2, 3, 4, 5])
+    def test_radial_tail_matches_quadrature(self, nu):
+        # the closed form at spectral_sum's default radii, and at j one above
+        # the smallest, where the n = 0 base is the series or the recurrence
+        for j in (nu // 2 + 1, nu // 2 + 2):
+            for s in (0.3, 1.0, 40.0):
+                for R in (max({1: 50000.0, 2: 250.0, 3: 150.0}.get(nu, 40.0), 12.0 * s), 2.0):
+                    want, _ = integrate.quad(
+                        lambda r: r ** (nu - 1) * (r * r + s * s) ** (-float(j)),
+                        R + 0.5, np.inf, epsabs=0.0, epsrel=1e-13, limit=200,
+                    )
+                    got = detlap._radial_tail(nu, s, j, R + 0.5)
+                    assert abs(got - want) <= 1e-12 * want, (j, s, R)
+
+
+class TestLadderTables:
+    def test_one_ladder_reads_at_most_two_tables(self, monkeypatch):
+        # below s ~ 0.795 each node of a ladder has its own R2 (49..63 here);
+        # the tables come from a coarser grid, and fold reads the same bins
+        chi = Character((Fraction(1, 7),) * 4)
+
+        def run():
+            monkeypatch.setattr(lattice, "_TABLE_CACHE", OrderedDict())
+            monkeypatch.setattr(lattice, "_TABLE_CACHE_BYTES", 0)
+            f = lambda t: detlap.log_det_even(2, chi, t)
+            nodes = [f(t) for t in 0.645 * (1.0 + 0.01 * np.arange(-6, 7))]
+            return [repr(v) for v in nodes + [detlap.ladder_pure(f, 3, 0.645)]], len(lattice._TABLE_CACHE)
+
+        on_grid, tables = run()
+        assert tables <= 2
+        monkeypatch.setattr(detlap, "_table_R2", lambda R2: R2)
+        per_node, tables = run()
+        assert tables == 13
+        assert on_grid == per_node
+
 
 def log_det_odd_by_shell(ell, chi, s):
     """log_det_odd with its lattice sum grouped by shells through r_twisted."""

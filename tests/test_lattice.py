@@ -359,3 +359,70 @@ class TestShellResidueTable:
         for field in ("shell_n", "starts", "points", "r", "count"):
             assert np.array_equal(getattr(streamed, field), getattr(cached, field)), field
         assert streamed.points[-1] == lattice.ball_count(3, 1700)
+
+
+class TestShiftedNormSum:
+    """The shifted-ball kernel against a box masked to the ball, with the
+    norms summed row by row as numpy sums them."""
+
+    @staticmethod
+    def box_and_mask(nu, alpha, R, weight):
+        line = np.arange(-math.ceil(R) - 1, math.ceil(R) + 2, dtype=np.int64)
+        box = np.stack(np.meshgrid(*[line] * nu, indexing="ij"), axis=-1).reshape(-1, nu)
+        sq = ((box + np.array([float(a) for a in alpha])) ** 2).sum(axis=1)
+        sq = sq[sq <= R * R]
+        return weight(sq).sum(), sq.shape[0]
+
+    def check(self, nu, alpha, R, weight=lambda sq: (sq + 0.36) ** -3.0):
+        got, terms = lattice.shifted_norm_sum(weight, nu, Character(alpha), R)
+        want, want_terms = self.box_and_mask(nu, alpha, R, weight)
+        assert terms == want_terms
+        assert abs(got - want) <= 1e-13 * abs(want)
+
+    @pytest.mark.parametrize("nu", [1, 2, 3, 4, 5])
+    def test_zero_character_at_integer_radius(self, nu):
+        # every coordinate square is an integer: many points lie on the sphere
+        for R in (1, 3, 5 if nu < 5 else 4):
+            self.check(nu, (0,) * nu, float(R))
+
+    def test_half_character_on_the_sphere(self):
+        # |m + (1/2, 1/2)|^2 = 12.5 at (2, 2), (3, 0) and their images
+        self.check(2, (Fraction(1, 2),) * 2, math.sqrt(12.5))
+        for nu in (1, 3, 4, 5):
+            self.check(nu, (Fraction(1, 2),) * nu, 3.5)
+
+    @pytest.mark.parametrize("nu", [2, 3, 4, 5])
+    def test_radius_on_an_inexact_sphere(self, nu):
+        # R^2 is an exact value of |m + alpha|^2 whose float sums round to
+        # either side of R^2, so the prefix at R^2 - t is one point too short
+        # or too long for some tail points
+        cases = [(3, "29/9"), (3, "65/9"), (3, "2/3"), (3, "7/9"), (5, "4"), (5, "29/5"), (5, "101/5"), (7, "58/7")]
+        for den, R2 in cases:
+            self.check(nu, tuple(Fraction((i + 1) % den, den) for i in range(nu)), math.sqrt(Fraction(R2)))
+
+    @pytest.mark.parametrize("nu", [1, 2, 3, 4, 5])
+    def test_denominator_60(self, nu):
+        alpha = (Fraction(7, 60), Fraction(1, 60), Fraction(59, 60), Fraction(13, 60), Fraction(31, 60))[:nu]
+        for R in (0.1, 2.0, 4.3):
+            self.check(nu, alpha, R)
+
+    @pytest.mark.parametrize("nu", [1, 2, 3, 4, 5])
+    def test_complex_weight(self, nu):
+        s = 0.2 + 1.5j
+        alpha = (Fraction(1, 3), Fraction(0), Fraction(1, 2), Fraction(2, 3), Fraction(1, 4))[:nu]
+        self.check(nu, alpha, 4.0, lambda sq: (s * s + 4.0 * math.pi**2 * sq) ** -((nu + 1) / 2.0))
+
+    def test_small_head_budget_sums_the_same_ball(self, monkeypatch):
+        # fewer head coordinates, so several tail coordinates per point
+        monkeypatch.setattr(lattice, "HEAD_POINTS", 50)
+        self.check(5, (Fraction(1, 3), Fraction(1, 3), Fraction(1, 3), Fraction(0), Fraction(1, 2)), 4.0)
+        self.check(4, (0,) * 4, 5.0)
+        sevenths = tuple(Fraction(i + 1, 7) for i in range(5))
+        for R2 in ("230/49", "265/49", "279/49"):
+            self.check(5, sevenths, math.sqrt(Fraction(R2)))
+        self.check(4, sevenths[:4], math.sqrt(Fraction(212, 49)))
+
+    def test_empty_ball(self):
+        # at R = 0.6 every coordinate has a point, but no pair of them does
+        for R in (0.3, 0.6):
+            assert lattice.shifted_norm_sum(lambda sq: sq, 3, Character((Fraction(1, 2),) * 3), R) == (0.0, 0)
