@@ -37,7 +37,6 @@ EXIT_NOT_COPRIME = 4
 class RunConfig:
     radius: float = 0.0  # 0 = derive from s
     ell_limit: int = 0
-    mobius_limit: int = 60
     format: str = "json"
     output: str = ""
     ratio_band: float = 0.10
@@ -45,8 +44,6 @@ class RunConfig:
     def validate(self) -> None:
         if self.format not in ("json", "csv"):
             raise ValueError("format must be json or csv")
-        if self.mobius_limit < 1:
-            raise ValueError("mobius_limit must be positive")
         if self.ratio_band <= 0:
             raise ValueError("ratio_band must be positive")
 
@@ -85,7 +82,6 @@ def _truncation(cfg: RunConfig, s: complex) -> Truncation:
     return Truncation(
         radius=cfg.radius if cfg.radius > 0 else base.radius,
         ell_limit=cfg.ell_limit if cfg.ell_limit > 0 else base.ell_limit,
-        mobius_limit=cfg.mobius_limit,
     )
 
 

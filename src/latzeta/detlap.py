@@ -90,7 +90,7 @@ def det_truncation(s: complex) -> Truncation:
     sr = complex(s).real
     if sr <= 0:
         raise DomainError("need Re(s) > 0")
-    return Truncation(radius=max(6.0, 30.0 / (2.0 * math.pi * sr)), ell_limit=1, mobius_limit=1)
+    return Truncation(radius=max(6.0, 30.0 / (2.0 * math.pi * sr)), ell_limit=1)
 
 
 def _det_R2(s: complex, tr: Truncation | None) -> int:

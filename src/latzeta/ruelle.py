@@ -7,6 +7,10 @@ and through its Poisson dual, and the logarithmic derivative through the
 Phi-series combination whose n-terms are evaluated by their exact dual
 exponential expansion.
 
+log G and the Moebius route sum_m mu(m) log G(m s, m alpha) are one sum
+sum_{k <= ell_limit} c_k/k g(k s, k alpha), with c_k = 1 and c_k = gamma(k) =
+sum_{m|k} m mu(m); L'/L's n-sum stops at the same ell_limit.
+
 Sums whose weight depends on |n| alone (g, log G, the Moebius route and the
 Phi n-terms) read one shell-by-residue table of the ball per (nu, radius,
 alpha); the Euler and series routes sum the ball point by point, so the
@@ -43,14 +47,13 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Truncation:
-    """Cutoffs for the lattice/Moebius/ell sums."""
+    """Cutoffs: the lattice-sum radius, and ell_limit for every sum over multiples of s."""
 
     radius: float
     ell_limit: int
-    mobius_limit: int
 
     def __post_init__(self) -> None:
-        if self.radius < 1 or self.ell_limit < 1 or self.mobius_limit < 1:
+        if self.radius < 1 or self.ell_limit < 1:
             raise ValueError("all truncation limits must be positive (radius >= 1)")
 
 
@@ -68,7 +71,7 @@ class SeriesValue:
 
 
 def default_truncation(s: complex) -> Truncation:
-    """radius = max(8, 40/Re s) capped at 300, ell_limit = ceil(40/Re s), mobius_limit = 60.
+    """radius = max(8, 40/Re s) capped at 300, ell_limit = ceil(40/Re s) capped at 400.
 
     Near the imaginary axis the cap keeps ball sizes workable; the series
     evaluators still run there and report the (then larger) tail honestly.
@@ -79,7 +82,6 @@ def default_truncation(s: complex) -> Truncation:
     return Truncation(
         radius=min(max(8.0, 40.0 / sr), 300.0),
         ell_limit=int(math.ceil(min(40.0 / sr, 400.0))),
-        mobius_limit=60,
     )
 
 
@@ -224,30 +226,31 @@ def log_G(s: complex, chi: Character | None, nu: int, tr: Truncation | None = No
     s = _require_right_half(s)
     tr = tr or default_truncation(s)
     chi = _as_character(chi, nu)
-    return _log_G(s, chi, 1, nu, tr)
+    K = tr.ell_limit
+    v = _k_sum(s, chi, nu, tr, np.ones(K + 1))
+    # geometric bound on the omitted l's: terms behave like 2 nu e^{-l s}
+    omitted = 2 * nu * math.exp(-(K + 1) * s.real) / (1 - math.exp(-s.real)) / (K + 1)
+    return SeriesValue(v.value, v.terms, v.tail_estimate + omitted)
 
 
-def _log_G(s: complex, chi: Character, mult: int, nu: int, tr: Truncation) -> SeriesValue:
-    """log G(s, mult * alpha), every g term read from the base character's
-    table (g(l s, l mult alpha) at radius max(2, radius / l))."""
+def _k_sum(s: complex, chi: Character, nu: int, tr: Truncation, coeff) -> SeriesValue:
+    """sum_{k <= ell_limit} coeff[k]/k g(k s, k alpha), every g read from the
+    base character's table at radius max(2, radius / k).  Stops once
+    Re(k s) > 50; the tail covers the truncated balls, not the omitted k."""
     table_R2 = _table_R2(tr.radius)
     total = 0j
     terms = 0
     tail = 0.0
-    for ell in range(1, tr.ell_limit + 1):
-        u = ell * s
-        if u.real > 50.0 and ell > 1:
+    for k in range(1, tr.ell_limit + 1):
+        u = k * s
+        if u.real > 50.0 and k > 1:
             break
-        radius = max(2.0, tr.radius / ell)
-        val, n = lattice.norm_sum(
-            lambda norms: np.exp(-u * norms), nu, int(math.ceil(radius**2)), chi, mult * ell, table_R2
-        )
-        total += complex(val) / ell
+        c = float(coeff[k])
+        radius = max(2.0, tr.radius / k)
+        val, n = lattice.norm_sum(lambda norms: np.exp(-u * norms), nu, int(math.ceil(radius**2)), chi, k, table_R2)
+        total += c * complex(val) / k
         terms += n
-        tail += _exp_tail_estimate(nu, u.real, radius) / ell
-    # geometric bound on the omitted l's: terms behave like 2 nu e^{-l s}
-    lmax = tr.ell_limit
-    tail += 2 * nu * math.exp(-(lmax + 1) * s.real) / (1 - math.exp(-s.real)) / (lmax + 1)
+        tail += abs(c) * _exp_tail_estimate(nu, u.real, radius) / k
     return SeriesValue(total, terms, tail)
 
 
@@ -267,23 +270,13 @@ def _log_L_euler(s: complex, chi: Character, nu: int, tr: Truncation) -> SeriesV
 
 
 def _log_L_mobius(s: complex, chi: Character, nu: int, tr: Truncation) -> SeriesValue:
-    """sum_m mu(m) log G(m s, m alpha)."""
-    st = ensure_sieve(tr.mobius_limit)
-    total = 0j
-    terms = 0
-    tail = 0.0
-    for m in range(1, tr.mobius_limit + 1):
-        mu = int(st.mu[m])
-        if mu == 0:
-            continue
-        if (m * s).real > 50.0:
-            break
-        gv = _log_G(m * s, chi, m, nu, tr)
-        total += mu * gv.value
-        terms += gv.terms
-        tail += gv.tail_estimate
-    tail += 2 * nu * math.exp(-(tr.mobius_limit + 1) * s.real)
-    return SeriesValue(total, terms, tail)
+    """sum_m mu(m) log G(m s, m alpha), collapsed by sum_{m|k} m mu(m) = gamma(k)
+    into one sum over k = l m: sum_k gamma(k)/k g(k s, k alpha)."""
+    K = tr.ell_limit
+    v = _k_sum(s, chi, nu, tr, ensure_sieve(K).gam)
+    # omitted k: |gamma(k)| <= k and g(k s) behaves like 2 nu e^{-k s}
+    omitted = 2 * nu * math.exp(-(K + 1) * s.real) / (1 - math.exp(-s.real))
+    return SeriesValue(v.value, v.terms, v.tail_estimate + omitted)
 
 
 def _log_L_series(s: complex, chi: Character, nu: int, tr: Truncation) -> SeriesValue:
@@ -325,8 +318,9 @@ def log_L_routes(
 
 def _phi_dual_pair(
     s: complex, chi: Character, nu: int, tr: Truncation
-) -> tuple[complex, complex]:
-    """(Phi(s,alpha,(nu+1)/2), Phi(s,alpha,(nu+3)/2)) by the exact dual expansion.
+) -> tuple[complex, complex, int]:
+    """(Phi(s,alpha,(nu+1)/2), Phi(s,alpha,(nu+3)/2), points summed) by the exact
+    dual expansion, over n <= ell_limit.
 
     For each n the inner m-sum has the closed dual form
 
@@ -337,13 +331,14 @@ def _phi_dual_pair(
     values carry the same (divergent-in-isolation) k=0 parts truncated at the
     same n, so the combination in log_deriv_L cancels them exactly.
     """
-    st = ensure_sieve(tr.mobius_limit)
+    st = ensure_sieve(tr.ell_limit)
     table_R2 = _table_R2(tr.radius)
     area = sphere_area(nu)
     pref = area / (2.0 * (2.0 * math.pi) ** nu)
     phi1 = 0j
     phi2 = 0j
-    for n in range(1, tr.mobius_limit + 1):
+    terms = 0
+    for n in range(1, tr.ell_limit + 1):
         gam = float(st.gam[n])
         if (n * s).real > 60.0 and n > 1:
             # remaining k-sums are below double precision; keep k=0 parts only
@@ -356,12 +351,13 @@ def _phi_dual_pair(
             return np.stack([e, (n * norms) * e])
 
         sub_R2 = int(math.ceil(max(2.0, tr.radius / n) ** 2))
-        (e0, e1), _ = lattice.norm_sum(weights, nu, sub_R2, chi, n, table_R2)
+        (e0, e1), count = lattice.norm_sum(weights, nu, sub_R2, chi, n, table_R2)
+        terms += count
         # Phi_1 n-term: gam/n * pref/s * (1 + e0)
         phi1 += gam / n * pref / s * (1.0 + complex(e0))
         # Phi_2 n-term: gam/n * pref/((nu+1) s) * [ (1+e0)/s^2 + e1/s ]
         phi2 += gam / n * pref / ((nu + 1) * s) * ((1.0 + complex(e0)) / (s * s) + complex(e1) / s)
-    return phi1, phi2
+    return phi1, phi2, terms
 
 
 def log_deriv_L(
@@ -371,8 +367,11 @@ def log_deriv_L(
     s = _require_right_half(s)
     tr = tr or default_truncation(s)
     chi = _as_character(chi, nu)
-    p1, p2 = _phi_dual_pair(s, chi, nu, tr)
+    p1, p2, terms = _phi_dual_pair(s, chi, nu, tr)
     val = C_const(nu) * (p1 - (nu + 1) * s * s * p2)
-    n_tail = math.exp(-(tr.mobius_limit + 1) * s.real)
+    # the n-term, -C pref gamma(n) sum_k |k| e^{-n s |k|} chi(k)^n, behaves like
+    # 2 nu n e^{-n s} at most: sum_{n > K} n x^n <= (K+1) x^{K+1} / (1-x)^2
+    x, K = math.exp(-s.real), tr.ell_limit
+    n_tail = (K + 1) * x ** (K + 1) / (1 - x) ** 2
     tail = C_const(nu) * sphere_area(nu) / (2 * (2 * math.pi) ** nu) * 2 * nu * n_tail
-    return SeriesValue(val, tr.mobius_limit, tail + _exp_tail_estimate(nu, s.real, tr.radius))
+    return SeriesValue(val, terms, tail + _exp_tail_estimate(nu, s.real, tr.radius))

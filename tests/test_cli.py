@@ -180,7 +180,7 @@ class TestJsonSchemas:
 class TestConfig:
     def test_config_file_and_output(self, tmp_path, capsys, monkeypatch):
         cfg = tmp_path / "latzeta.conf"
-        cfg.write_text("format = csv\nratio_band = 0.5\n# comment\nmobius_limit = 40\n")
+        cfg.write_text("format = csv\nratio_band = 0.5\n# comment\nell_limit = 40\n")
         out_path = tmp_path / "out.csv"
         code, _, _ = run_cli(
             [
@@ -210,8 +210,9 @@ class TestConfig:
         assert out.startswith("nu,x,X,")
 
     def test_unknown_key_rejected(self, tmp_path, capsys):
-        # sieve_limit, threads and tol were keys that took no effect; they are gone
-        for key in ("no_such_key", "sieve_limit", "threads", "tol"):
+        # sieve_limit, threads, tol and mobius_limit were keys that took no
+        # effect; they are gone
+        for key in ("no_such_key", "sieve_limit", "threads", "tol", "mobius_limit"):
             cfg = tmp_path / "bad.conf"
             cfg.write_text(f"{key} = 1\n")
             code, _, err = run_cli(

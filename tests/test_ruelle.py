@@ -44,8 +44,8 @@ class TestGDirect:
         # coarse truncation: the reported tail must cover the actual gap to
         # a converged evaluation
         s, nu = 1.0, 2
-        coarse = ruelle.g_direct(s, None, nu, Truncation(radius=5, ell_limit=1, mobius_limit=1))
-        fine = ruelle.g_direct(s, None, nu, Truncation(radius=45, ell_limit=1, mobius_limit=1))
+        coarse = ruelle.g_direct(s, None, nu, Truncation(radius=5, ell_limit=1))
+        fine = ruelle.g_direct(s, None, nu, Truncation(radius=45, ell_limit=1))
         gap = abs(coarse.value - fine.value)
         assert 0 < gap < coarse.tail_estimate
 
@@ -92,7 +92,7 @@ class TestGPoisson:
     def test_truncated_fallback_for_wide_angle_s(self):
         # Re(s^2) < 0 falls back to the slow dual sum with an honest tail
         s = 0.3 + 1.0j
-        g = ruelle.g_poisson(s, None, 1, Truncation(radius=4000, ell_limit=5, mobius_limit=5))
+        g = ruelle.g_poisson(s, None, 1, Truncation(radius=4000, ell_limit=5))
         d = ruelle.g_direct(s, None, 1)
         assert abs(g.value - d.value) < g.tail_estimate + d.tail_estimate
 
@@ -102,7 +102,7 @@ class TestGPoisson:
         s = 0.2 + 1.5j
         g = ruelle.g_poisson(s, None, 2)
         assert g.terms == int(arith.r_table(2, 200**2).sum())
-        d = ruelle.g_direct(s, None, 2, Truncation(radius=220, ell_limit=1, mobius_limit=1))
+        d = ruelle.g_direct(s, None, 2, Truncation(radius=220, ell_limit=1))
         assert abs(g.value - d.value) < g.tail_estimate
 
 
@@ -176,6 +176,35 @@ class TestLogL:
         assert abs(r["euler"].value - r["series"].value) < 1e-9
         assert r["series"].value.imag != 0.0
 
+    def test_routes_meet_near_the_axis(self):
+        # at Re s = 0.1 the Moebius k-sum runs to ell_limit = 400, past the
+        # point where its omitted k could show at 1e-9
+        r = ruelle.log_L_routes(0.1, None, 2)
+        vals = [r[k].value for k in ("euler", "mobius", "series")]
+        assert max(abs(a - b) for a in vals for b in vals) < 1e-9
+        assert abs(r["mobius"].value - r["series"].value) <= r["mobius"].tail_estimate
+
+    def test_mobius_route_matches_brute_double_loop(self):
+        # sum over squarefree m of mu(m) log G(m s, m alpha), with log G's
+        # l-sum cut at l m <= ell_limit, summed point by point over the full
+        # ball (the route's balls of radius R/(l m) omit terms below e^{-s R})
+        s, nu = 1.2, 2
+        chi = Character((Fraction(1, 3), Fraction(1, 2)))
+        tr = ruelle.default_truncation(s)
+        K = tr.ell_limit
+        arr = lattice.ball_array(nu, int(math.ceil(tr.radius**2)))
+        norms = np.sqrt((arr.astype(np.float64) ** 2).sum(axis=1))
+        acc = 0j
+        for m in range(1, K + 1):
+            mu = arith.moebius(m)
+            if mu == 0:
+                continue
+            for ell in range(1, K // m + 1):
+                ph = lattice.pairing_phases(arr, chi.scaled(ell * m))
+                acc += mu * complex((ph * np.exp(-ell * m * s * norms)).sum()) / ell
+        got = ruelle.log_L_routes(s, chi, nu, tr)["mobius"]
+        assert abs(got.value - acc) < 1e-12
+
     def test_domain(self):
         with pytest.raises(DomainError):
             ruelle.log_L(0.0, None, 2)
@@ -188,8 +217,8 @@ class TestPhi:
     def test_one_n_term_partial_fraction(self):
         # n=1 only, nu=1, t=1, s=1: sum_m (1+(2 pi m)^2)^{-1} = coth(1/2)/2;
         # the dual k-sum carries e^{-|k|}, so radius 40 is converged
-        tr = Truncation(radius=40.0, ell_limit=1, mobius_limit=1)
-        p, _ = ruelle._phi_dual_pair(1.0, Character.zero(1), 1, tr)
+        tr = Truncation(radius=40.0, ell_limit=1)
+        p, _, _ = ruelle._phi_dual_pair(1.0, Character.zero(1), 1, tr)
         assert p.real == pytest.approx(1 / math.tanh(0.5) / 2, rel=1e-4)
 
     def test_monotone_decrease_in_s_positive_terms(self):
@@ -197,7 +226,7 @@ class TestPhi:
         # full series has signed gamma(n) weights, so monotonicity is only
         # guaranteed where the weights are positive (here: the n = 1 block,
         # t = 2 = (nu+3)/2 at nu = 1)
-        tr = Truncation(radius=30.0, ell_limit=1, mobius_limit=1)
+        tr = Truncation(radius=30.0, ell_limit=1)
         vals = [ruelle._phi_dual_pair(s, Character.zero(1), 1, tr)[1].real for s in (1.0, 1.5, 2.0, 3.0)]
         assert all(a > b > 0 for a, b in zip(vals, vals[1:]))
 
@@ -205,8 +234,8 @@ class TestPhi:
         # alpha = 0: the per-vector ball sums of each n-block regrouped by
         # shells through the exact count tables
         s, nu = 1.1, 2
-        tr = Truncation(radius=40.0, ell_limit=1, mobius_limit=3)
-        p1, p2 = ruelle._phi_dual_pair(s, Character.zero(nu), nu, tr)
+        tr = Truncation(radius=40.0, ell_limit=3)
+        p1, p2, _ = ruelle._phi_dual_pair(s, Character.zero(nu), nu, tr)
         st = arith.ensure_sieve(3)
         pref = sphere_area(nu) / (2 * (2 * math.pi) ** nu)
         w1 = w2 = 0j
@@ -225,7 +254,7 @@ class TestPhi:
     def test_large_s_power_law(self):
         # the full m-sum of each n-block scales like s^{nu-2t} as s -> inf
         # (t = (nu+3)/2 = 2 at nu = 1)
-        tr = Truncation(radius=2.0, ell_limit=1, mobius_limit=10)
+        tr = Truncation(radius=2.0, ell_limit=10)
         t, nu = 2.0, 1
         a = ruelle._phi_dual_pair(200.0, Character.zero(nu), nu, tr)[1].real
         b = ruelle._phi_dual_pair(400.0, Character.zero(nu), nu, tr)[1].real
@@ -263,6 +292,23 @@ class TestLogDerivL:
                     b = fd(s, chi, nu)
                     assert abs(a - b) / abs(b) < 1e-5
 
+    def test_tail_covers_n_truncation_near_the_axis(self):
+        # the reference is the same sum with n <= 1000
+        for s in (0.1, 0.35 + 0.2j):
+            tr = ruelle.default_truncation(s)
+            ld = ruelle.log_deriv_L(s, None, 2, tr)
+            ref = ruelle.log_deriv_L(s, None, 2, Truncation(tr.radius, 1000))
+            assert abs(ld.value - ref.value) <= ld.tail_estimate + 1e-14 * abs(ld.value)
+
+    def test_terms_count_points_summed(self):
+        s, nu = 1.2, 2
+        tr = ruelle.default_truncation(s)
+        want = sum(
+            lattice.ball_count(nu, int(math.ceil(max(2.0, tr.radius / n) ** 2)))
+            for n in range(1, tr.ell_limit + 1)
+        )
+        assert ruelle.log_deriv_L(s, None, nu, tr).terms == want
+
     def test_c_const(self):
         assert ruelle.C_const(1) == pytest.approx(2.0, rel=1e-15)
         assert ruelle.C_const(2) == pytest.approx(2 * math.pi, rel=1e-14)
@@ -273,18 +319,17 @@ class TestTruncationDefaults:
         tr = ruelle.default_truncation(0.5)
         assert tr.radius == pytest.approx(80.0)
         assert tr.ell_limit == 80
-        assert tr.mobius_limit == 60
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            Truncation(radius=0.5, ell_limit=1, mobius_limit=1)
+            Truncation(radius=0.5, ell_limit=1)
 
     def test_near_axis_runs_with_honest_tail(self):
         # Re(s) < 0.1: capped radius, larger reported tail, no failure
         s = 0.05
         g = ruelle.g_direct(s, None, 2)
         assert g.tail_estimate > 1e-6  # honestly large
-        fine = ruelle.g_direct(s, None, 2, Truncation(radius=500, ell_limit=1, mobius_limit=1))
+        fine = ruelle.g_direct(s, None, 2, Truncation(radius=500, ell_limit=1))
         assert abs(g.value - fine.value) <= g.tail_estimate
 
 
@@ -316,13 +361,13 @@ class TestShellResidueReads:
                     assert abs(got - want) < 1e-13 * max(1.0, abs(want)), (chi, mult, u)
                     assert terms == lattice.ball_count(3, R2)
                     # g_direct reads its own table of the scaled character
-                    gd = ruelle.g_direct(u, chi.scaled(mult), 3, Truncation(math.sqrt(R2), 1, 1))
+                    gd = ruelle.g_direct(u, chi.scaled(mult), 3, Truncation(math.sqrt(R2), 1))
                     assert abs(gd.value - want) < 1e-13 * max(1.0, abs(want))
 
     def test_large_radius_terms_without_count_table(self):
         # the term count comes from the summed rows, not from r_table
         t0 = time.perf_counter()
-        g = ruelle.g_direct(1.0, None, 1, Truncation(radius=2000, ell_limit=1, mobius_limit=1))
+        g = ruelle.g_direct(1.0, None, 1, Truncation(radius=2000, ell_limit=1))
         assert time.perf_counter() - t0 < 1.0
         assert g.terms == 4000
         assert g.value.real == pytest.approx(2 * math.exp(-1) / (1 - math.exp(-1)), rel=1e-13)
