@@ -4,7 +4,8 @@ The Ruelle-type L-function is the Euler product over primitive lattice
 vectors with factors (1 - chi(P) e^{-s|P|})^{-1}.  Its logarithm can be
 computed three independent ways; they agree to ~1e-12 in double precision.
 The lattice sum g(s, alpha) and its Poisson dual provide the fourth
-cross-check and power the logarithmic derivative.
+cross-check; the logarithmic derivative is the s-derivative of the Moebius
+route's sum, checked against a finite difference of the series route.
 """
 
 import math
@@ -41,5 +42,5 @@ ld = ruelle.log_deriv_L(s, chi, nu)
 h = 1e-2
 f = lambda t: ruelle.log_L(t, chi, nu).value
 fd = (f(s - 2 * h) - 8 * f(s - h) + 8 * f(s + h) - f(s + 2 * h)) / (12 * h)
-print(f"  Phi-combination: {ld.value.real:.12f}")
-print(f"  finite diff:     {fd.real:.12f}   (rel delta {abs(ld.value - fd) / abs(fd):.1e})")
+print(f"  d/ds of the Moebius k-sum: {ld.value.real:.12f}")
+print(f"  finite diff of log L:      {fd.real:.12f}   (rel delta {abs(ld.value - fd) / abs(fd):.1e})")

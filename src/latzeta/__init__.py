@@ -5,7 +5,7 @@ Subpackages
 lattice   balls, shells, characters, exact pairing phases, lattice sums
 arith     mu, gamma, sums-of-squares counts, M_nu(n, alpha, x), Bernoulli
 special   zeta, L_{-4}, J/K Bessel, sphere areas
-ruelle    log L routes, Poisson identity, Phi series, logarithmic derivative
+ruelle    log L routes, Poisson identity, logarithmic derivative (one k-sum)
 boundary  exact nonvanishing certificates for the natural boundary
 detlap    zeta-regularized torus determinants and ladder verification
 tauber    Dirichlet-series identities and finite-X Tauberian averages

@@ -229,7 +229,7 @@ def _r_closed_pp(nu: int, p: int, e: int) -> int:
         if p == 2:
             return (2 ** (3 * (e + 1)) - 15) // 7
         return (p ** (3 * (e + 1)) - 1) // (p**3 - 1)
-    raise UnsupportedDimension(f"closed form only for nu in {{2,4,6,8}}, got {nu}")
+    raise UnsupportedDimension(f"prime-power closed form only for nu in {{2,4,8}}, got {nu}")
 
 
 def rtilde_prime_power(nu: int, p: int, a: int) -> int:

@@ -98,16 +98,6 @@ def _det_R2(s: complex, tr: Truncation | None) -> int:
     return int(math.ceil((tr or det_truncation(s)).radius ** 2))
 
 
-def _table_R2(R2: int) -> int:
-    """R2 rounded up to the grid 36 ceil-times 1.3: the shell-residue table
-    that a sum over |n|^2 <= R2 reads.  One ladder's nodes spread R2 by ~1.27x,
-    so a ladder reads at most two tables."""
-    table = 36
-    while table < R2:
-        table = math.ceil(1.3 * table)
-    return table
-
-
 # ---------------------------------------------------------------------------
 # determinants
 # ---------------------------------------------------------------------------
@@ -133,7 +123,7 @@ def log_det_odd(ell: int, chi: Character | None, s: complex, tr: Truncation | No
             poly += c * (2.0 * math.pi * norms) ** (-float(k)) * s ** (ell - k)
         return norms ** (-(ell + 1.0)) * poly * np.exp(-2.0 * math.pi * norms * s)
 
-    acc, _ = lattice.norm_sum(weight, nu, R2, chi, table_R2=_table_R2(R2))
+    acc, _ = lattice.norm_sum(weight, nu, R2, chi)
     return lead - complex(acc)
 
 
@@ -158,8 +148,7 @@ def log_det_even(ell: int, chi: Character | None, s: float, tr: Truncation | Non
     lead = 2.0 * (-1.0) ** ell * math.pi**ell / math.factorial(ell) * s ** (2 * ell) * math.log(s)
 
     acc, _ = lattice.norm_sum(
-        lambda norms: norms ** (-float(ell)) * bessel_K_array(ell, 2.0 * math.pi * norms * s),
-        nu, R2, chi, table_R2=_table_R2(R2),
+        lambda norms: norms ** (-float(ell)) * bessel_K_array(ell, 2.0 * math.pi * norms * s), nu, R2, chi
     )
     return lead - 2.0 * s**ell * float(acc.real)
 
@@ -247,8 +236,7 @@ def spectral_sum_dual_even(ell: int, chi: Character | None, s: float, tr: Trunca
     nu = 2 * ell
     chi, R2 = _as_character(chi, nu), _det_R2(s, tr)
     acc, _ = lattice.norm_sum(
-        lambda norms: (2.0 * math.pi * norms / s) * bessel_K_array(1, 2.0 * math.pi * norms * s),
-        nu, R2, chi, table_R2=_table_R2(R2),
+        lambda norms: (2.0 * math.pi * norms / s) * bessel_K_array(1, 2.0 * math.pi * norms * s), nu, R2, chi
     )
     return math.pi**ell / math.factorial(ell) * (1.0 / (s * s) + float(acc.real))
 

@@ -259,10 +259,12 @@ class ShellResidueTable:
 
     A twisted sum whose weight depends on |v| alone reads the table: the
     character k*alpha pairs v to exp(2 pi i k r / D), so every multiple of
-    alpha permutes the residue columns of one table.  Bins are sorted by n,
-    then r; the bins of one shell are contiguous.
+    alpha permutes the residue columns of one table, and every smaller ball
+    is a prefix of it.  Bins are sorted by n, then r; the bins of one shell
+    are contiguous.
     """
 
+    R2: int
     D: int
     shell_n: np.ndarray  # each nonempty shell's n, increasing
     starts: np.ndarray  # index of each shell's first bin
@@ -317,17 +319,20 @@ def _bin_ball(nu: int, R2: int, nums: np.ndarray, D: int) -> tuple[np.ndarray, n
 
 
 def shell_residue_table(nu: int, R2: int, chi: Character) -> ShellResidueTable | None:
-    """The shell-by-residue table of the nonzero ball |v|^2 <= R2 for ``chi``.
+    """A shell-by-residue table for ``chi`` of a nonzero ball |v|^2 <= R2' with
+    R2' >= R2.
 
-    Tables are kept in an LRU cache of at most ``TABLE_CACHE_MAX_BYTES``.
-    Returns None, building nothing, when the table could outgrow that budget
-    (it has at most one bin per point and D bins per shell, plus D roots of
-    unity); :func:`norm_sum` then sums the ball point by point.
+    The cache holds one table per (nu, alpha), the largest built so far; a
+    request beyond it builds the table at R2 and replaces it.  Tables are
+    kept in an LRU cache of at most ``TABLE_CACHE_MAX_BYTES``.  Returns None,
+    building nothing, when a request beyond the cached table could outgrow
+    that budget (a table has at most one bin per point and D bins per shell,
+    plus D roots of unity); :func:`norm_sum` then sums the ball point by point.
     """
     global _TABLE_CACHE_BYTES
-    key = (nu, R2, chi.alpha)
+    key = (nu, chi.alpha)
     table = _TABLE_CACHE.get(key)
-    if table is not None:
+    if table is not None and table.R2 >= R2:
         _TABLE_CACHE.move_to_end(key)
         return table
     nums, D = chi.numerators_denominator()
@@ -337,9 +342,12 @@ def shell_residue_table(nu: int, R2: int, chi: Character) -> ShellResidueTable |
     if 16 * R2 * D > budget and 16 * ball_count(nu, R2) > budget:
         return None
     keys, count = _bin_ball(nu, R2, nums, D)
+    if table is not None:  # the larger table replaces it
+        _TABLE_CACHE_BYTES -= _TABLE_CACHE.pop(key).nbytes
     n = keys // D
     starts = np.flatnonzero(np.diff(n, prepend=-1))
     table = ShellResidueTable(
+        R2=R2,
         D=D,
         shell_n=n[starts],
         starts=starts,
@@ -375,19 +383,17 @@ def ball_weighted_sum(nu: int, R2: int, chi: Character, weight) -> tuple[complex
     return total, terms
 
 
-def norm_sum(
-    weight, nu: int, R2: int, chi: Character, mult: int = 1, table_R2: int | None = None
-) -> tuple[complex, int]:
+def norm_sum(weight, nu: int, R2: int, chi: Character, mult: int = 1) -> tuple[complex, int]:
     """sum over nonzero |n|^2 <= R2 of weight(|n|) * exp(2 pi i mult <n, alpha>),
     and the number of points summed.
 
-    Read per shell from the shell-residue table of ``chi`` over |v|^2 <=
-    ``table_R2`` (default R2; a larger table serves every smaller ball and
-    every multiple of alpha) when that table fits the table cache, otherwise
-    summed over the ball point by point.  ``weight`` may return a stack of
-    weights, as for :func:`ball_weighted_sum`.
+    Read per shell from the one cached shell-residue table of (nu, alpha),
+    which serves every smaller ball and every multiple of alpha, when a table
+    covering R2 fits the table cache; otherwise summed over the ball point by
+    point.  ``weight`` may return a stack of weights, as for
+    :func:`ball_weighted_sum`.
     """
-    table = shell_residue_table(nu, R2 if table_R2 is None else table_R2, chi)
+    table = shell_residue_table(nu, R2, chi)
     if table is None:
         return ball_weighted_sum(nu, R2, chi.scaled(mult), lambda norms, rows: weight(norms))
     norms, sums, terms = table.fold(mult, R2)

@@ -3,18 +3,21 @@
 log L is evaluated through three independent routes (Euler product over
 primitive vectors, Moebius inversion through the full-lattice G, and the
 gcd-weighted exponential series), g(s, alpha) through the direct lattice sum
-and through its Poisson dual, and the logarithmic derivative through the
-Phi-series combination whose n-terms are evaluated by their exact dual
-exponential expansion.
+and through its Poisson dual, and the logarithmic derivative L'/L.
 
 log G and the Moebius route sum_m mu(m) log G(m s, m alpha) are one sum
 sum_{k <= ell_limit} c_k/k g(k s, k alpha), with c_k = 1 and c_k = gamma(k) =
-sum_{m|k} m mu(m); L'/L's n-sum stops at the same ell_limit.
+sum_{m|k} m mu(m).  The paper's L'/L = C(nu) [Phi(s, alpha, (nu+1)/2) -
+(nu+1) s^2 Phi(s, alpha, (nu+3)/2)], with each Phi n-term in its exact dual
+form, is the s-derivative of that Moebius sum: C(nu) Area(S^nu) / (2 (2 pi)^nu)
+= 1 and the k = 0 parts of the two Phi values cancel, which leaves
+-sum_k gamma(k) sum_{v != 0} |v| e^{-k s |v|} chi(v)^k, the same k-sum with
+coefficients -k gamma(k) and weight |v| e^{-k s |v|}.
 
-Sums whose weight depends on |n| alone (g, log G, the Moebius route and the
-Phi n-terms) read one shell-by-residue table of the ball per (nu, radius,
-alpha); the Euler and series routes sum the ball point by point, so the
-three log L routes stay independent computations.
+Sums whose weight depends on |n| alone (g, log G, the Moebius route and
+L'/L) read the one shell-by-residue table of the ball per (nu, alpha); the
+Euler and series routes sum the ball point by point, so the three log L
+routes stay independent computations.
 """
 
 from __future__ import annotations
@@ -41,7 +44,6 @@ __all__ = [
     "log_L",
     "log_L_routes",
     "log_deriv_L",
-    "C_const",
 ]
 
 
@@ -85,11 +87,6 @@ def default_truncation(s: complex) -> Truncation:
     )
 
 
-def C_const(nu: int) -> float:
-    """C(nu) = 2 (2 sqrt(pi))^{nu-1} Gamma((nu+1)/2)."""
-    return 2.0 * (2.0 * math.sqrt(math.pi)) ** (nu - 1) * gamma_half(nu + 1)
-
-
 def _require_right_half(s: complex) -> complex:
     s = complex(s)
     if s.real <= 0:
@@ -97,26 +94,22 @@ def _require_right_half(s: complex) -> complex:
     return s
 
 
-def _exp_tail_estimate(nu: int, sigma: float, R: float) -> float:
-    """Estimate of sum_{|n|>R} e^{-sigma |n|} by the radial integral.
+def _exp_tail_estimate(nu: int, sigma: float, R: float, power: int = 0) -> float:
+    """Estimate of sum_{|n|>R} |n|^power e^{-sigma |n|} by the radial integral.
 
-    Area(S^{nu-1}) int_{R-1/2}^inf r^{nu-1} e^{-sigma r} dr, evaluated via the
-    finite expansion of the incomplete gamma function; the half-cell head
-    start keeps the heuristic on the conservative side of shell fluctuations.
+    Area(S^{nu-1}) int_{R-1/2}^inf r^{nu-1+power} e^{-sigma r} dr, evaluated
+    via the finite expansion of the incomplete gamma function; the half-cell
+    head start keeps the heuristic on the conservative side of shell
+    fluctuations.
     """
     area = sphere_area(nu - 1) if nu >= 2 else 2.0
     u = sigma * max(R - 0.5, 0.0)
-    # Gamma(nu, u) = (nu-1)! e^{-u} sum_{k<nu} u^k/k!
+    m = nu + power
+    # Gamma(m, u) = (m-1)! e^{-u} sum_{k<m} u^k/k!
     acc = 0.0
-    for k in range(nu):
+    for k in range(m):
         acc += u**k / math.factorial(k)
-    return area * math.factorial(nu - 1) * math.exp(-u) * acc / sigma**nu
-
-
-def _table_R2(radius: float) -> int:
-    """The ball of the shell-residue table that every norm-only sum of a
-    truncation at ``radius`` reads (sub-radii down to 2 read prefixes of it)."""
-    return int(math.ceil(max(radius, 2.0) ** 2))
+    return area * math.factorial(m - 1) * math.exp(-u) * acc / sigma**m
 
 
 def g_direct(s: complex, chi: Character | None, nu: int, tr: Truncation | None = None) -> SeriesValue:
@@ -125,7 +118,7 @@ def g_direct(s: complex, chi: Character | None, nu: int, tr: Truncation | None =
     tr = tr or default_truncation(s)
     chi = _as_character(chi, nu)
     R2 = int(math.ceil(tr.radius**2))
-    val, terms = lattice.norm_sum(lambda norms: np.exp(-s * norms), nu, R2, chi, 1, _table_R2(tr.radius))
+    val, terms = lattice.norm_sum(lambda norms: np.exp(-s * norms), nu, R2, chi)
     tail = _exp_tail_estimate(nu, s.real, tr.radius)
     return SeriesValue(complex(val), terms, tail)
 
@@ -233,11 +226,11 @@ def log_G(s: complex, chi: Character | None, nu: int, tr: Truncation | None = No
     return SeriesValue(v.value, v.terms, v.tail_estimate + omitted)
 
 
-def _k_sum(s: complex, chi: Character, nu: int, tr: Truncation, coeff) -> SeriesValue:
-    """sum_{k <= ell_limit} coeff[k]/k g(k s, k alpha), every g read from the
-    base character's table at radius max(2, radius / k).  Stops once
-    Re(k s) > 50; the tail covers the truncated balls, not the omitted k."""
-    table_R2 = _table_R2(tr.radius)
+def _k_sum(s: complex, chi: Character, nu: int, tr: Truncation, coeff, power: int = 0) -> SeriesValue:
+    """sum_{k <= ell_limit} coeff[k]/k sum_{v != 0} |v|^power e^{-k s |v|} chi(v)^k,
+    every inner sum read from the base character's table at radius
+    max(2, radius / k).  Stops once Re(k s) > 50; the tail covers the
+    truncated balls, not the omitted k."""
     total = 0j
     terms = 0
     tail = 0.0
@@ -247,10 +240,11 @@ def _k_sum(s: complex, chi: Character, nu: int, tr: Truncation, coeff) -> Series
             break
         c = float(coeff[k])
         radius = max(2.0, tr.radius / k)
-        val, n = lattice.norm_sum(lambda norms: np.exp(-u * norms), nu, int(math.ceil(radius**2)), chi, k, table_R2)
+        weight = lambda norms: norms**power * np.exp(-u * norms)
+        val, n = lattice.norm_sum(weight, nu, int(math.ceil(radius**2)), chi, k)
         total += c * complex(val) / k
         terms += n
-        tail += abs(c) * _exp_tail_estimate(nu, u.real, radius) / k
+        tail += abs(c) * _exp_tail_estimate(nu, u.real, radius, power) / k
     return SeriesValue(total, terms, tail)
 
 
@@ -311,67 +305,19 @@ def log_L_routes(
     }
 
 
-# ---------------------------------------------------------------------------
-# Phi and the logarithmic derivative
-# ---------------------------------------------------------------------------
-
-
-def _phi_dual_pair(
-    s: complex, chi: Character, nu: int, tr: Truncation
-) -> tuple[complex, complex, int]:
-    """(Phi(s,alpha,(nu+1)/2), Phi(s,alpha,(nu+3)/2), points summed) by the exact
-    dual expansion, over n <= ell_limit.
-
-    For each n the inner m-sum has the closed dual form
-
-        sum_m {s^2 + (2 pi |m/n + alpha|)^2}^{-(nu+1)/2}
-            = n^nu Area(S^nu) / (2 (2pi)^nu s) * sum_k e^{2 pi i n <k,alpha>} e^{-n s |k|}
-
-    and its -1/((nu+1) s) d/ds image for the (nu+3)/2 exponent.  Both Phi
-    values carry the same (divergent-in-isolation) k=0 parts truncated at the
-    same n, so the combination in log_deriv_L cancels them exactly.
-    """
-    st = ensure_sieve(tr.ell_limit)
-    table_R2 = _table_R2(tr.radius)
-    area = sphere_area(nu)
-    pref = area / (2.0 * (2.0 * math.pi) ** nu)
-    phi1 = 0j
-    phi2 = 0j
-    terms = 0
-    for n in range(1, tr.ell_limit + 1):
-        gam = float(st.gam[n])
-        if (n * s).real > 60.0 and n > 1:
-            # remaining k-sums are below double precision; keep k=0 parts only
-            phi1 += gam / n * pref / s
-            phi2 += gam / n * pref / ((nu + 1) * s * s * s)
-            continue
-
-        def weights(norms):
-            e = np.exp(-(n * s) * norms)
-            return np.stack([e, (n * norms) * e])
-
-        sub_R2 = int(math.ceil(max(2.0, tr.radius / n) ** 2))
-        (e0, e1), count = lattice.norm_sum(weights, nu, sub_R2, chi, n, table_R2)
-        terms += count
-        # Phi_1 n-term: gam/n * pref/s * (1 + e0)
-        phi1 += gam / n * pref / s * (1.0 + complex(e0))
-        # Phi_2 n-term: gam/n * pref/((nu+1) s) * [ (1+e0)/s^2 + e1/s ]
-        phi2 += gam / n * pref / ((nu + 1) * s) * ((1.0 + complex(e0)) / (s * s) + complex(e1) / s)
-    return phi1, phi2, terms
-
-
 def log_deriv_L(
     s: complex, chi: Character | None, nu: int, tr: Truncation | None = None
 ) -> SeriesValue:
-    """L'/L (s, alpha; nu) = C(nu) [Phi(.,(nu+1)/2) - (nu+1) s^2 Phi(.,(nu+3)/2)]."""
+    """L'/L (s, alpha; nu) = -sum_{k <= ell_limit} gamma(k) sum_{v != 0} |v| e^{-k s |v|} chi(v)^k,
+    the s-derivative of the Moebius route's k-sum and the paper's Phi
+    combination (see the module docstring)."""
     s = _require_right_half(s)
     tr = tr or default_truncation(s)
     chi = _as_character(chi, nu)
-    p1, p2, terms = _phi_dual_pair(s, chi, nu, tr)
-    val = C_const(nu) * (p1 - (nu + 1) * s * s * p2)
-    # the n-term, -C pref gamma(n) sum_k |k| e^{-n s |k|} chi(k)^n, behaves like
-    # 2 nu n e^{-n s} at most: sum_{n > K} n x^n <= (K+1) x^{K+1} / (1-x)^2
-    x, K = math.exp(-s.real), tr.ell_limit
-    n_tail = (K + 1) * x ** (K + 1) / (1 - x) ** 2
-    tail = C_const(nu) * sphere_area(nu) / (2 * (2 * math.pi) ** nu) * 2 * nu * n_tail
-    return SeriesValue(val, terms, tail + _exp_tail_estimate(nu, s.real, tr.radius))
+    K = tr.ell_limit
+    v = _k_sum(s, chi, nu, tr, -np.arange(K + 1) * ensure_sieve(K).gam[: K + 1], power=1)
+    # omitted k: |gamma(k)| <= k and the inner sum behaves like 2 nu e^{-k s},
+    # so sum_{k > K} k x^k <= (K+1) x^{K+1} / (1-x)^2 with x = e^{-Re s}
+    x = math.exp(-s.real)
+    omitted = 2 * nu * (K + 1) * x ** (K + 1) / (1 - x) ** 2
+    return SeriesValue(v.value, v.terms, v.tail_estimate + omitted)

@@ -103,10 +103,8 @@ def D_series(nu: int, s: float, x: float) -> EvalResult:
 
 def _lattice_counts(nu: int, X: int):
     """Z -> N_nu(Z) = #{v in Z^nu : |v|^2 <= Z}, origin included, for int64
-    arrays of 0 <= Z <= X: 1 at nu = 0, the number of k in -isqrt(Z)..isqrt(Z)
-    at nu = 1, the cumulative counting table r_nu above."""
-    if nu == 0:
-        return np.ones_like
+    arrays of 0 <= Z <= X: the number of k in -isqrt(Z)..isqrt(Z) at nu = 1,
+    the cumulative counting table r_nu above."""
     if nu == 1:
         squares = np.arange(math.isqrt(X) + 1, dtype=np.int64) ** 2
         return lambda Z: 2 * np.searchsorted(squares, Z, side="right") - 1
@@ -121,12 +119,15 @@ def partial_sum_M(nu: int, X: int, x: float) -> float:
     splits over square classes with c_x = id^{-x} * mu, the multiplicative
     function with c_x(p^a) = p^{-ax} - p^{-(a-1)x}.  Each exact ball count
     N_nu(Y) is sum_{|m| <= sqrt Y} N_{nu-1}(Y - m^2), read from exact
-    (nu-1)-dimensional counts.
+    (nu-1)-dimensional counts.  At nu = 1 the square-class terms decay only
+    like 1/u and cancel, so the sum is taken directly: 2 sum_{k <= sqrt X} k^{-x}.
     """
     if X < 1:
         raise ValueError("X must be >= 1")
     x = float(x)
     R = math.isqrt(X)
+    if nu == 1:
+        return 2.0 * math.fsum((np.arange(1, R + 1, dtype=np.float64) ** -x).tolist())
     c = multiplicative_table(R, lambda p, a: float(p) ** (-a * x) - float(p) ** (-(a - 1) * x), np.float64)
     counts = _lattice_counts(nu - 1, X)
     N = np.empty(R, dtype=np.float64)

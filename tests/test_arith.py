@@ -112,6 +112,11 @@ class TestRepresentationCounts:
         with pytest.raises(UnsupportedDimension):
             arith.r_closed_table(5, 10)
 
+    def test_prime_power_closed_form_names_its_dimensions(self):
+        # nu = 6 has divisor-sum closed forms, but no prime-power one
+        with pytest.raises(UnsupportedDimension, match=r"nu in \{2,4,8\}, got 6"):
+            arith.rtilde_prime_power(6, 3, 1)
+
     def test_normalized_multiplicativity(self):
         # r_nu(mn)/(2nu) = r_nu(m)/(2nu) * r_nu(n)/(2nu) for coprime m, n;
         # exhaustive over m, n <= 200, plus larger spot checks in Python ints

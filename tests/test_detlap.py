@@ -217,24 +217,32 @@ class TestSpectralSum:
 
 
 class TestLadderTables:
-    def test_one_ladder_reads_at_most_two_tables(self, monkeypatch):
+    def test_one_ladder_reads_one_table(self, monkeypatch):
         # below s ~ 0.795 each node of a ladder has its own R2 (49..63 here);
-        # the tables come from a coarser grid, and fold reads the same bins
+        # all of them read the one table of (nu, alpha), built at the largest,
+        # and fold reads the same bins as from a table of each node's own R2
         chi = Character((Fraction(1, 7),) * 4)
+        f = lambda t: detlap.log_det_even(2, chi, t)
 
-        def run():
+        def fresh():
             monkeypatch.setattr(lattice, "_TABLE_CACHE", OrderedDict())
             monkeypatch.setattr(lattice, "_TABLE_CACHE_BYTES", 0)
-            f = lambda t: detlap.log_det_even(2, chi, t)
-            nodes = [f(t) for t in 0.645 * (1.0 + 0.01 * np.arange(-6, 7))]
-            return [repr(v) for v in nodes + [detlap.ladder_pure(f, 3, 0.645)]], len(lattice._TABLE_CACHE)
 
-        on_grid, tables = run()
-        assert tables <= 2
-        monkeypatch.setattr(detlap, "_table_R2", lambda R2: R2)
-        per_node, tables = run()
-        assert tables == 13
-        assert on_grid == per_node
+        own_R2 = set()
+
+        def own_table(t):
+            fresh()
+            value = f(t)
+            own_R2.add(lattice._TABLE_CACHE[(4, chi.alpha)].R2)
+            return value
+
+        nodes = 0.645 * (1.0 + 0.01 * np.arange(-6, 7))
+        fresh()
+        shared = [repr(v) for v in [f(t) for t in nodes] + [detlap.ladder_pure(f, 3, 0.645)]]
+        assert [table.R2 for table in lattice._TABLE_CACHE.values()] == [63]
+        per_node = [repr(v) for v in [own_table(t) for t in nodes] + [detlap.ladder_pure(own_table, 3, 0.645)]]
+        assert len(own_R2) == 13
+        assert shared == per_node
 
 
 def log_det_odd_by_shell(ell, chi, s):

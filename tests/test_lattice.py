@@ -328,18 +328,39 @@ class TestShellResidueTable:
         monkeypatch.setattr(lattice, "TABLE_CACHE_MAX_BYTES", int(2.5 * first.nbytes))
         last = [lattice.shell_residue_table(2, 400, chi) for chi in chars[1:]][-1]
         cache = lattice._TABLE_CACHE
-        assert (2, 400, chars[0].alpha) not in cache and 1 <= len(cache) < len(chars)
-        assert list(cache)[-1] == (2, 400, chars[-1].alpha)
+        assert (2, chars[0].alpha) not in cache and 1 <= len(cache) < len(chars)
+        assert list(cache)[-1] == (2, chars[-1].alpha)
         assert lattice._TABLE_CACHE_BYTES == sum(t.nbytes for t in cache.values()) <= lattice.TABLE_CACHE_MAX_BYTES
         # a hit returns the cached object; a rebuilt table reads the same
         assert lattice.shell_residue_table(2, 400, chars[-1]) is last
         again = lattice.shell_residue_table(2, 400, chars[0])
         assert again is not first and np.array_equal(again.count, first.count)
 
+    def test_one_table_per_character_grows(self):
+        # a request beyond the cached table replaces it by a larger build; a
+        # smaller request reads the larger table, and fold reads the same bins
+        # from it as from a table of its own size
+        chi = Character((Fraction(1, 6), Fraction(1, 2), Fraction(2, 3)))
+        small = lattice.shell_residue_table(3, 17, chi)
+        big = lattice.shell_residue_table(3, 64, chi)
+        assert big is not small and (small.R2, big.R2) == (17, 64)
+        assert lattice.shell_residue_table(3, 30, chi) is big
+        assert list(lattice._TABLE_CACHE.items()) == [((3, chi.alpha), big)]
+        assert lattice._TABLE_CACHE_BYTES == big.nbytes
+        for mult in (1, 2, 7):
+            for R2 in (17, 5):
+                for a, b in zip(small.fold(mult, R2), big.fold(mult, R2)):
+                    assert np.array_equal(a, b), (mult, R2)
+
     def test_table_over_budget_is_not_built(self, monkeypatch):
         monkeypatch.setattr(lattice, "TABLE_CACHE_MAX_BYTES", 1000)
         assert lattice.shell_residue_table(3, 100, Character.zero(3)) is None
         assert not lattice._TABLE_CACHE
+        # a cached table that a larger request cannot replace still serves
+        # the requests it covers
+        small = lattice.shell_residue_table(1, 9, Character.zero(1))
+        assert lattice.shell_residue_table(1, 10**6, Character.zero(1)) is None
+        assert lattice.shell_residue_table(1, 4, Character.zero(1)) is small
 
     def test_table_from_streamed_or_cached_ball(self, monkeypatch):
         # a table build streams a ball nobody cached, in several blocks here

@@ -1,3 +1,4 @@
+import cmath
 import math
 import time
 from collections import OrderedDict
@@ -210,55 +211,77 @@ class TestLogL:
             ruelle.log_L(0.0, None, 2)
 
 
+def phi_blocks_1d(s, a, N):
+    """The paper's Phi(s, a, 1) and Phi(s, a, 2) at nu = 1 over n <= N, with
+    Phi(s, a, t) = sum_n gamma(n) n^{-2} sum_m (s^2 + (2 pi (m/n + a))^2)^{-t}.
+
+    Each m-sum is a partial fraction in closed form, so the Phi_1 n-term is
+    gamma(n) sinh(ns) / (2ns (cosh ns - cos 2 pi n a)), and Phi_2 is
+    -(1/2s) d/ds Phi_1 term by term."""
+    st = arith.ensure_sieve(N)
+    p1 = p2 = 0j
+    for n in range(1, N + 1):
+        c = math.cos(2 * math.pi * n * a)
+        sh, ch = cmath.sinh(n * s), cmath.cosh(n * s)
+        t1 = sh / (2 * n * s * (ch - c))
+        dt1 = (1 - c * ch) / (2 * s * (ch - c) ** 2) - t1 / s
+        p1 += int(st.gam[n]) * t1
+        p2 += int(st.gam[n]) * -dt1 / (2 * s)
+    return p1, p2
+
+
+def c_const(nu):
+    """C(nu) = 2 (2 sqrt(pi))^{nu-1} Gamma((nu+1)/2), the paper's prefactor of L'/L."""
+    return 2.0 * (2.0 * math.sqrt(math.pi)) ** (nu - 1) * math.gamma((nu + 1) / 2)
+
+
 class TestPhi:
-    """The Phi pair behind L'/L, as ``_phi_dual_pair`` evaluates it: each
-    n-block is the full m-sum in its exact dual form."""
+    """L'/L against the paper's Phi combination C(nu) [Phi(s, alpha, (nu+1)/2)
+    - (nu+1) s^2 Phi(s, alpha, (nu+3)/2)], with Phi evaluated in the test."""
 
     def test_one_n_term_partial_fraction(self):
-        # n=1 only, nu=1, t=1, s=1: sum_m (1+(2 pi m)^2)^{-1} = coth(1/2)/2;
-        # the dual k-sum carries e^{-|k|}, so radius 40 is converged
-        tr = Truncation(radius=40.0, ell_limit=1)
-        p, _, _ = ruelle._phi_dual_pair(1.0, Character.zero(1), 1, tr)
-        assert p.real == pytest.approx(1 / math.tanh(0.5) / 2, rel=1e-4)
+        # n = 1 only, nu = 1, s = 1: the m-sums of Phi_1 and Phi_2 summed
+        # directly; Phi_1's is coth(1/2)/2.  The lattice sum carries e^{-|v|},
+        # so radius 40 is converged
+        s = 1.0
+        m = np.arange(-200000, 200001, dtype=np.float64)
+        q = s * s + (2 * math.pi * m) ** 2
+        p1, p2 = float(np.sum(1 / q)), float(np.sum(1 / q**2))
+        assert p1 == pytest.approx(1 / math.tanh(0.5) / 2, rel=1e-4)
+        ld = ruelle.log_deriv_L(s, None, 1, Truncation(radius=40.0, ell_limit=1))
+        assert ld.value.real == pytest.approx(c_const(1) * (p1 - 2 * s * s * p2), rel=1e-4)
+
+    def test_matches_phi_closed_form_1d(self):
+        # the n-sum of both sides stops at ell_limit; the k = 0 parts of the
+        # two Phi values cancel in the combination
+        for a in (Fraction(0), Fraction(1, 3), Fraction(1, 4)):
+            for s in (0.35 + 0.2j, 0.8, 1.5):
+                ld = ruelle.log_deriv_L(s, Character((a,)), 1)
+                p1, p2 = phi_blocks_1d(s, float(a), ruelle.default_truncation(s).ell_limit)
+                want = c_const(1) * (p1 - 2 * s * s * p2)
+                assert abs(ld.value - want) < 1e-12 * abs(want), (a, s)
 
     def test_monotone_decrease_in_s_positive_terms(self):
-        # every summand (s^2 + (2 pi |m/n + a|)^2)^{-t} decreases in s; the
-        # full series has signed gamma(n) weights, so monotonicity is only
-        # guaranteed where the weights are positive (here: the n = 1 block,
-        # t = 2 = (nu+3)/2 at nu = 1)
+        # with one k block at alpha = 0, -L'/L = sum_v |v| e^{-s|v|} has only
+        # positive terms, each decreasing in s
         tr = Truncation(radius=30.0, ell_limit=1)
-        vals = [ruelle._phi_dual_pair(s, Character.zero(1), 1, tr)[1].real for s in (1.0, 1.5, 2.0, 3.0)]
+        vals = [-ruelle.log_deriv_L(s, None, 1, tr).value.real for s in (1.0, 1.5, 2.0, 3.0)]
         assert all(a > b > 0 for a, b in zip(vals, vals[1:]))
 
     def test_shell_grouping_matches_naive_loop(self):
-        # alpha = 0: the per-vector ball sums of each n-block regrouped by
-        # shells through the exact count tables
+        # alpha = 0: the k-blocks -gamma(k) sum_v |v| e^{-k s |v|} regrouped
+        # by shells through the exact count tables
         s, nu = 1.1, 2
         tr = Truncation(radius=40.0, ell_limit=3)
-        p1, p2, _ = ruelle._phi_dual_pair(s, Character.zero(nu), nu, tr)
+        got = ruelle.log_deriv_L(s, Character.zero(nu), nu, tr).value
         st = arith.ensure_sieve(3)
-        pref = sphere_area(nu) / (2 * (2 * math.pi) ** nu)
-        w1 = w2 = 0j
-        for n in (1, 2, 3):
-            R2 = int(math.ceil(max(2.0, tr.radius / n) ** 2))
+        want = 0.0
+        for k in (1, 2, 3):
+            R2 = int(math.ceil(max(2.0, tr.radius / k) ** 2))
             counts = arith.r_table(nu, R2)[1:]
             norms = np.sqrt(np.arange(1, R2 + 1, dtype=np.float64))
-            e0 = complex((counts * np.exp(-n * s * norms)).sum())
-            e1 = complex((counts * n * norms * np.exp(-n * s * norms)).sum())
-            gam = float(st.gam[n])
-            w1 += gam / n * pref / s * (1 + e0)
-            w2 += gam / n * pref / ((nu + 1) * s) * ((1 + e0) / s**2 + e1 / s)
-        assert abs(p1 - w1) < 1e-12 * abs(w1)
-        assert abs(p2 - w2) < 1e-12 * abs(w2)
-
-    def test_large_s_power_law(self):
-        # the full m-sum of each n-block scales like s^{nu-2t} as s -> inf
-        # (t = (nu+3)/2 = 2 at nu = 1)
-        tr = Truncation(radius=2.0, ell_limit=10)
-        t, nu = 2.0, 1
-        a = ruelle._phi_dual_pair(200.0, Character.zero(nu), nu, tr)[1].real
-        b = ruelle._phi_dual_pair(400.0, Character.zero(nu), nu, tr)[1].real
-        assert a / b == pytest.approx(2.0 ** (2 * t - nu), rel=2e-2)
+            want -= float(st.gam[k]) * float((counts * norms * np.exp(-k * s * norms)).sum())
+        assert abs(got - want) < 1e-12 * abs(want)
 
     def test_domain(self):
         with pytest.raises(DomainError):
@@ -270,6 +293,14 @@ class TestLogDerivL:
         ld = ruelle.log_deriv_L(1.0, None, 1)
         want = -2 * math.exp(-1) / (1 - math.exp(-1))
         assert ld.value.real == pytest.approx(want, rel=1e-12)
+
+    def test_one_dim_closed_form_at_large_s(self):
+        # -2 e^{-s} / (1 - e^{-s}); the k-sum has no parts that cancel, so its
+        # relative error does not grow with s
+        for s in (5.0, 12.0, 18.0, 30.0):
+            ld = ruelle.log_deriv_L(s, None, 1)
+            want = -2 * math.exp(-s) / (1 - math.exp(-s))
+            assert abs(ld.value - want) <= 1e-12 * abs(want), s
 
     def test_large_s_sign_and_magnitude(self):
         s = 18.0
@@ -300,6 +331,25 @@ class TestLogDerivL:
             ref = ruelle.log_deriv_L(s, None, 2, Truncation(tr.radius, 1000))
             assert abs(ld.value - ref.value) <= ld.tail_estimate + 1e-14 * abs(ld.value)
 
+    def test_tail_covers_radius_truncation(self):
+        # the tail is that of the summed weight |v| e^{-k sigma |v|} over every
+        # k; the reference sums balls of three times the radius
+        cases = (
+            (2, 0.35 + 0.2j, 40.0, None),
+            (2, 0.8, 15.0, None),
+            (1, 0.35, 30.0, None),
+            (3, 0.8, 12.0, None),
+            (3, 2.0, 6.0, None),
+            (4, 1.5, 8.0, None),
+            (2, 1.5, 8.0, (Fraction(1, 3), Fraction(1, 2))),
+            (1, 1.0, 10.0, (Fraction(1, 4),)),
+        )
+        for nu, s, R, alpha in cases:
+            K = ruelle.default_truncation(s).ell_limit
+            ld = ruelle.log_deriv_L(s, alpha, nu, Truncation(R, K))
+            ref = ruelle.log_deriv_L(s, alpha, nu, Truncation(3 * R, K))
+            assert abs(ld.value - ref.value) <= ld.tail_estimate, (nu, s, R)
+
     def test_terms_count_points_summed(self):
         s, nu = 1.2, 2
         tr = ruelle.default_truncation(s)
@@ -310,8 +360,12 @@ class TestLogDerivL:
         assert ruelle.log_deriv_L(s, None, nu, tr).terms == want
 
     def test_c_const(self):
-        assert ruelle.C_const(1) == pytest.approx(2.0, rel=1e-15)
-        assert ruelle.C_const(2) == pytest.approx(2 * math.pi, rel=1e-14)
+        # C(nu) Area(S^nu) / (2 (2 pi)^nu) = 1 turns the Phi combination into
+        # the s-derivative of the Moebius k-sum
+        assert c_const(1) == pytest.approx(2.0, rel=1e-15)
+        assert c_const(2) == pytest.approx(2 * math.pi, rel=1e-14)
+        for nu in range(1, 9):
+            assert c_const(nu) * sphere_area(nu) / (2 * (2 * math.pi) ** nu) == pytest.approx(1.0, rel=1e-14), nu
 
 
 class TestTruncationDefaults:
@@ -353,10 +407,12 @@ class TestShellResidueReads:
             (Character((Fraction(1, 997), Fraction(0), Fraction(5, 997))), (1, 2, 996)),
         )
         for chi, mults in cases:
-            assert lattice.shell_residue_table(3, 144, chi) is not None
+            table = lattice.shell_residue_table(3, 144, chi)
+            assert table is not None
             for mult in mults:
                 for u, R2 in ((0.9 + 0.3j, 144), (2.7, 16)):
-                    got, terms = lattice.norm_sum(lambda r: np.exp(-u * r), 3, R2, chi, mult, table_R2=144)
+                    got, terms = lattice.norm_sum(lambda r: np.exp(-u * r), 3, R2, chi, mult)
+                    assert lattice._TABLE_CACHE[(3, chi.alpha)] is table
                     want = self.brute_g(u, chi, mult, 3, R2)
                     assert abs(got - want) < 1e-13 * max(1.0, abs(want)), (chi, mult, u)
                     assert terms == lattice.ball_count(3, R2)

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -123,6 +124,16 @@ class TestPartialSums:
         a = partial_sum_sweep(2, 2 * 10**6, 1.0)
         b = tauber.partial_sum_M(2, 2 * 10**6, 1.0)
         assert a == pytest.approx(b, rel=1e-12)
+
+    def test_nu1_matches_exact_sum(self):
+        # 2 sum_{k <= sqrt X} k^{-x}, exact in mpmath; the Moebius square-class
+        # route cancels at nu = 1 and was 2.3e-13 off at X = 10^6, x = 2
+        with mpmath.workdps(40):
+            for X in (10**6, 123456):
+                for x in (2.0, 1.0, 0.5, 0.0, -1.0, 3.7):
+                    want = 2 * mpmath.fsum(mpmath.mpf(k) ** -mpmath.mpf(x) for k in range(1, math.isqrt(X) + 1))
+                    got = tauber.partial_sum_M(1, X, x)
+                    assert abs(got - want) <= 1e-15 * abs(want), (X, x)
 
     def test_nu2_builds_no_count_table(self):
         # N_1(Z) = 2 isqrt(Z) + 1 needs no table; an r_table per fresh X
