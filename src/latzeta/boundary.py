@@ -2,10 +2,12 @@
 
 Everything feeding a verdict is computed in exact rational arithmetic from
 the prime-power closed forms of r_nu (nu in {2, 4, 8}): both sides of the
-key inequality, the local factors E/F/G of the R-coefficient factorization,
-and a rigorous bound on the neglected G-tail.  A float cross-check evaluates
-the R-coefficient series directly and the factored product with the G-part
-completed over primes up to 1e7.
+key inequality, the local factors E/F at the primes of m*n, the local
+factors G at the primes 2 and 3 that do not divide m*n, and a G-tail bound
+for every prime p > 3 that rests on |1 - G_{nu,p}| <= 4/p^2, proven in the
+test suite.  So a certificate's size grows only with the primes of m*n.  A
+float cross-check evaluates the R-coefficient series directly and the
+factored product with the G-part completed over primes up to 1e7.
 """
 
 from __future__ import annotations
@@ -138,10 +140,15 @@ def local_G(nu: int, p: int) -> Fraction:
     return val
 
 
-# rigorous |1 - G_{nu,p}| <= c_nu / p^2 (the spec's p^{-(nu-1)} shape diverges
-# for nu=2); constants derived from the closed forms, checked numerically in
-# the test suite for p <= 1e4
+# 0 < 1 - G_{nu,p} <= c_nu / p^2 for every prime p >= 3 (the spec's
+# p^{-(nu-1)} shape diverges for nu=2); proven from the closed forms, per nu
+# and residue class, by TestLocalFactors.test_G_tail_constant_proof in
+# tests/test_boundary.py
 G_TAIL_C = {2: Fraction(4), 4: Fraction(4), 8: Fraction(4)}
+
+# the smallest P with c_nu/P^2 <= 1/2, which g_tail_log_bound needs: exact
+# G factors at the primes p <= P, the proven tail bound beyond
+_G_TAIL_FROM = 3
 
 
 def g_tail_log_bound(nu: int, P: int) -> float:
@@ -152,7 +159,7 @@ def g_tail_log_bound(nu: int, P: int) -> float:
     """
     c = float(G_TAIL_C[nu])
     if c / P**2 > 0.5:
-        raise ValueError("prime limit too small for the tail bound")
+        raise ValueError(f"P = {P} is too small for the tail bound (needs c/P^2 <= 1/2)")
     return 2.0 * c / P
 
 
@@ -254,11 +261,9 @@ class Certificate:
     nu: int
     m_tilde: int
     n_tilde: int
-    prime_limit: int
     E_factors: list[tuple[int, Fraction]] = field(default_factory=list)
     F_factors: list[tuple[int, int, Fraction]] = field(default_factory=list)  # (p, e, value)
     G_partial: Fraction = Fraction(1)
-    G_primes: list[int] = field(default_factory=list)
     g_tail_bound: float = 0.0
     exact_value: Fraction = Fraction(0)
     series_value: float = 0.0
@@ -274,7 +279,7 @@ class Certificate:
         factors.append(
             {
                 "kind": "G",
-                "p": self.prime_limit,
+                "p": _G_TAIL_FROM,
                 "num": str(self.G_partial.numerator),
                 "den": str(self.G_partial.denominator),
             }
@@ -283,7 +288,7 @@ class Certificate:
             "nu": self.nu,
             "m": self.m_tilde,
             "n": self.n_tilde,
-            "prime_limit": self.prime_limit,
+            "prime_limit": _G_TAIL_FROM,
             "factors": factors,
             "g_tail_bound": self.g_tail_bound,
             "series_value": self.series_value,
@@ -312,7 +317,7 @@ def certify_nonvanishing(
     nu: int,
     m_tilde: int,
     n_tilde: int,
-    prime_limit: int = 100,
+    *,
     series_K: int = 200_000,
 ) -> Certificate:
     """Certify R_nu(m/n) != 0 through the exact E*F*G factorization.
@@ -321,20 +326,19 @@ def certify_nonvanishing(
                          * 2 nu prod_{p' not | mn} G_{nu,p'},
 
     q over primes of n, p over primes of m (with e = v_p(m)).  The verdict is
-    true iff every exact factor over primes <= prime_limit is nonzero and the
-    bound on the neglected G-tail keeps the product away from zero.  The
-    float cross-check compares against the direct series.
+    true iff every exact factor is nonzero: E and F at the primes of m*n, G
+    at the primes 2 and 3 that do not divide m*n.  Every G_{nu,p'} with
+    p' > 3 has 0 < 1 - G_{nu,p'} <= 4/p'^2 by the proven G_TAIL_C, so their
+    product converges to a nonzero value, whose log is bounded by
+    g_tail_bound.  The float cross-check compares against the direct series.
     """
     _check_nu(nu)
     if math.gcd(m_tilde, n_tilde) != 1:
         raise NotCoprime(f"gcd({m_tilde}, {n_tilde}) != 1")
     mf = factorize(m_tilde)
     nf = factorize(n_tilde)
-    largest = max([1, *mf, *nf])
-    if prime_limit < largest:
-        raise ValueError(f"prime_limit must cover the largest prime factor {largest}")
 
-    cert = Certificate(nu=nu, m_tilde=m_tilde, n_tilde=n_tilde, prime_limit=prime_limit)
+    cert = Certificate(nu=nu, m_tilde=m_tilde, n_tilde=n_tilde)
     exact = Fraction(1)
     for q in sorted(nf):
         Eq = local_E(nu, q)
@@ -346,24 +350,23 @@ def certify_nonvanishing(
         exact *= Fp / (2 * nu)
     Gpart = Fraction(1)
     gprimes = []
-    for p in primes_upto(prime_limit):
+    for p in primes_upto(_G_TAIL_FROM):
         p = int(p)
         if p in mf or p in nf:
             continue
         Gpart *= local_G(nu, p)
         gprimes.append(p)
     cert.G_partial = Gpart
-    cert.G_primes = gprimes
     exact *= 2 * nu * Gpart
     cert.exact_value = exact
 
-    cert.g_tail_bound = g_tail_log_bound(nu, prime_limit)
+    cert.g_tail_bound = g_tail_log_bound(nu, _G_TAIL_FROM)
     nonzero = all(v != 0 for _, v in cert.E_factors)
     nonzero &= all(v != 0 for _, _, v in cert.F_factors)
     nonzero &= Gpart != 0
-    # tail: |sum_{p>P} log G| <= bound < inf keeps prod_{p>P} G in
-    # [e^-bound, e^bound], in particular nonzero
-    cert.verdict = bool(nonzero and exact != 0 and cert.g_tail_bound < 1.0)
+    # tail: |sum_{p>3} log G| <= bound < inf keeps prod_{p>3} G in
+    # [e^-bound, 1), in particular nonzero
+    cert.verdict = bool(nonzero and exact != 0)
 
     # float cross-check
     cert.series_value = R_coeff_series(nu, m_tilde, n_tilde, K=series_K)
@@ -371,7 +374,7 @@ def certify_nonvanishing(
     excl = 0.0
     for p in sorted(set(mf) | set(nf) | set(gprimes)):
         excl += _log_G_at(nu, p)
-    # factored = exact(E,F,G<=P) * exp(sum_{P < p <= 1e7, p not | mn} log G)
+    # factored = exact(E, F, G at p <= 3) * exp(sum_{3 < p <= 1e7, p not | mn} log G)
     rest = logsum - excl
     cert.factored_value = (
         float(exact) * math.exp(rest) / float(n_tilde) ** (nu + 1)

@@ -21,7 +21,7 @@ from dataclasses import dataclass, fields
 from fractions import Fraction
 
 from . import boundary, detlap, ruelle, tauber
-from .arith import factorize, r_closed
+from .arith import r_closed
 from .errors import CheckFailed, DomainError, NotCoprime, NotPrime, UnsupportedDimension
 from .lattice import Character
 from .ruelle import Truncation
@@ -209,9 +209,7 @@ def cmd_lfun(args, cfg: RunConfig) -> int:
 
 
 def cmd_boundary(args, cfg: RunConfig) -> int:
-    # the certificate needs every prime factor of m and n below its limit
-    prime_limit = max([args.prime_limit, *factorize(args.m * args.n)])
-    cert = boundary.certify_nonvanishing(args.nu, args.m, args.n, prime_limit)
+    cert = boundary.certify_nonvanishing(args.nu, args.m, args.n)
     _emit(cfg, cert.to_json_dict())
     return EXIT_OK if cert.verdict else EXIT_FAIL
 
@@ -293,8 +291,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nu", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--prime-limit", type=int, default=100,
-                   help="raised to the largest prime factor of m*n when below it")
     p.set_defaults(func=cmd_boundary)
 
     p = sub.add_parser("detlap", help="torus determinant and ladder verification")

@@ -78,7 +78,7 @@ def test_criterion_04_nonvanishing_certificates():
             for nt in range(1, 21):
                 if math.gcd(mt, nt) != 1:
                     continue
-                c = boundary.certify_nonvanishing(nu, mt, nt, prime_limit=100, series_K=200_000)
+                c = boundary.certify_nonvanishing(nu, mt, nt, series_K=200_000)
                 assert c.verdict, (nu, mt, nt)
                 rel = abs(c.series_value - c.factored_value) / abs(c.series_value)
                 worst = max(worst, rel)

@@ -65,6 +65,33 @@ class TestKeyLemma:
             boundary.key_lhs(2, 2, -1)
 
 
+def _poly_at(coeffs, x):
+    return sum(a * x**k for k, a in enumerate(coeffs))
+
+
+def _taylor_shift(coeffs, x0):
+    """Coefficients in t of the polynomial at x0 + t (coefficients from t^0 up)."""
+    out = [0] * len(coeffs)
+    for k, a in enumerate(coeffs):
+        for j in range(k + 1):
+            out[j] += a * math.comb(k, j) * x0 ** (k - j)
+    return out
+
+
+# 1 - G_{nu,p} = N(p)/D(p) per (nu, p mod `mod` == `res`), one row per
+# residue-class branch of key_lhs at odd p; coefficients from p^0 up
+_ONE_MINUS_G = [
+    # 1/(p^2 + p + 1)
+    (2, 4, 3, [1], [1, 1, 1]),
+    # (3p^3 - 1)/((p - 1)(p^2 + p + 1)^2)
+    (2, 4, 1, [-1, 0, 0, 3], [-1, -1, -1, 1, 1, 1]),
+    # (p^2 + 1)(p^3 + p^2 - 1)/((p - 1)(p^2 + p + 1)(p^4 + p^3 + p^2 + p + 1))
+    (4, 2, 1, [-1, 0, 0, 1, 1, 1], [-1, -1, -1, 0, 0, 1, 1, 1]),
+    # (p^9 + p^6 + p^3 - 1)/((p - 1)(p^2 + p + 1)^2 (p^6 + p^3 + 1))
+    (8, 2, 1, [-1, 0, 0, 1, 0, 0, 1, 0, 0, 1], [-1, -1, -1, 0, 0, 0, 0, 0, 0, 1, 1, 1]),
+]
+
+
 class TestLocalFactors:
     def test_E_examples(self):
         assert boundary.local_E(2, 2) == Fraction(4) + Fraction(4, 7)  # 32/7
@@ -108,6 +135,26 @@ class TestLocalFactors:
     def test_G_tends_to_one(self):
         for nu in (2, 4, 8):
             assert abs(float(boundary.local_G(nu, 9973)) - 1.0) < 1e-6
+
+    @pytest.mark.parametrize("nu, mod, res, N, D", _ONE_MINUS_G)
+    def test_G_tail_constant_proof(self, nu, mod, res, N, D):
+        # 1 - G_{nu,p} = N(p)/D(p) on the class: (p-1)/(2 nu) key_lhs is a
+        # ratio of integer polynomials of degree <= 15 in p there, so the
+        # cross-multiplied difference has degree < 40 and vanishes identically
+        # once it vanishes at 40 primes
+        primes = [int(p) for p in primes_upto(2000) if p >= 3 and p % mod == res][:40]
+        assert len(primes) == 40
+        for p in primes:
+            assert 1 - boundary.local_G(nu, p) == Fraction(_poly_at(N, p), _poly_at(D, p))
+        # with p = 3 + t, t >= 0: D > 0 and N > 0, and c D - p^2 N >= 0, so
+        # 0 < 1 - G_{nu,p} <= c/p^2 for every prime p >= 3 of the class
+        c = boundary.G_TAIL_C[nu]
+        gap = [c * d for d in D] + [0] * max(0, len(N) + 2 - len(D))
+        for k, a in enumerate(N):
+            gap[k + 2] -= a
+        shifted_D, shifted_N, shifted_gap = (_taylor_shift(f, 3) for f in (D, N, gap))
+        assert shifted_D[0] > 0 and shifted_N[0] > 0
+        assert min(shifted_D + shifted_N + shifted_gap) >= 0
 
     def test_G_tail_constant_numerically(self):
         # |1 - G_{nu,p}| <= c_nu / p^2 for p <= 1e4 (the bound the tail uses)
@@ -170,18 +217,18 @@ class TestRSeries:
 
     def test_series_converges_to_factored(self):
         for nu, mt, nt in ((2, 1, 1), (4, 1, 2), (8, 3, 5)):
-            c = boundary.certify_nonvanishing(nu, mt, nt, 100)
+            c = boundary.certify_nonvanishing(nu, mt, nt)
             assert abs(c.series_value - c.factored_value) / abs(c.series_value) < 1e-6
 
 
 class TestCertificates:
     def test_verdicts(self):
-        c = boundary.certify_nonvanishing(2, 1, 1, 100)
+        c = boundary.certify_nonvanishing(2, 1, 1)
         assert c.verdict and not c.E_factors and not c.F_factors
-        c = boundary.certify_nonvanishing(4, 1, 2, 100)
+        c = boundary.certify_nonvanishing(4, 1, 2)
         assert c.verdict
         assert [q for q, _ in c.E_factors] == [2]
-        c = boundary.certify_nonvanishing(8, 3, 5, 100)
+        c = boundary.certify_nonvanishing(8, 3, 5)
         assert c.verdict
         assert [p for p, _, _ in c.F_factors] == [3]
         assert [q for q, _ in c.E_factors] == [5]
@@ -193,45 +240,68 @@ class TestCertificates:
                 if mt * nt > 30 or math.gcd(mt, nt) != 1:
                     continue
                 for nu in (2, 4, 8):
-                    c = boundary.certify_nonvanishing(nu, mt, nt, 200, series_K=100_000)
+                    c = boundary.certify_nonvanishing(nu, mt, nt, series_K=100_000)
                     assert c.verdict
                     rel = abs(c.series_value - c.factored_value) / abs(c.series_value)
                     assert rel < 1e-6
 
     def test_not_coprime(self):
         with pytest.raises(NotCoprime):
-            boundary.certify_nonvanishing(2, 2, 4, 100)
+            boundary.certify_nonvanishing(2, 2, 4)
 
     def test_unsupported_dimension(self):
         with pytest.raises(UnsupportedDimension):
-            boundary.certify_nonvanishing(6, 1, 1, 100)
+            boundary.certify_nonvanishing(6, 1, 1)
 
-    def test_prime_limit_must_cover_factors(self):
-        with pytest.raises(ValueError):
-            boundary.certify_nonvanishing(2, 101, 1, 50)
+    def test_prime_factor_above_100_certifies(self):
+        c = boundary.certify_nonvanishing(2, 101, 1)
+        assert c.verdict
+        assert [p for p, _, _ in c.F_factors] == [101]
+        assert abs(c.series_value - c.factored_value) / abs(c.series_value) < 1e-6
 
     def test_json_schema(self):
         schema = boundary.certificate_schema()
         for nu, mt, nt in ((2, 1, 1), (8, 3, 5)):
-            doc = json.loads(boundary.certify_nonvanishing(nu, mt, nt, 100).to_json())
+            doc = json.loads(boundary.certify_nonvanishing(nu, mt, nt).to_json())
             jsonschema.validate(doc, schema)
 
-    def test_tail_bound_positive_and_small(self):
-        c = boundary.certify_nonvanishing(2, 1, 1, 100)
-        assert 0 < c.g_tail_bound < 0.1
+    def test_tail_bound_starts_above_3(self):
+        for nu in (2, 4, 8):
+            c = boundary.certify_nonvanishing(nu, 1, 1, series_K=20_000)
+            assert c.verdict
+            assert c.g_tail_bound == 2 * float(boundary.G_TAIL_C[nu]) / 3
+            # 3 is the smallest P the bound accepts
+            with pytest.raises(ValueError):
+                boundary.g_tail_log_bound(nu, 2)
+
+    def test_constant_size(self):
+        # the G factor depends on nu only once m*n is coprime to 6, so the
+        # certificate grows only with the primes of m*n
+        for nu in (2, 4, 8):
+            entries = set()
+            for mt, nt in ((1, 1), (5, 7), (101, 1), (1, 97), (35, 11), (1009, 25)):
+                doc = json.loads(boundary.certify_nonvanishing(nu, mt, nt, series_K=20_000).to_json())
+                assert doc["prime_limit"] == 3
+                (g,) = [f for f in doc["factors"] if f["kind"] == "G"]
+                entries.add(json.dumps(g))
+            assert len(entries) == 1
+        for mt in (5, 101, 1009, 2003, 4099):
+            c = boundary.certify_nonvanishing(8, mt, 1)
+            assert c.verdict
+            assert len(c.to_json()) < 1024
 
     def test_sieve_cache_bounded_over_fresh_m(self):
-        boundary.certify_nonvanishing(2, 1, 1, 100, series_K=20_000)
+        boundary.certify_nonvanishing(2, 1, 1, series_K=20_000)
         keys = len(boundary._SIEVE_CACHE)
         for mt in range(2, 32):
             nt = next(n for n in (35, 6, 1) if math.gcd(mt, n) == 1)
-            boundary.certify_nonvanishing(2, mt, nt, 100, series_K=20_000)
+            boundary.certify_nonvanishing(2, mt, nt, series_K=20_000)
         assert len(boundary._SIEVE_CACHE) <= keys
 
     def test_json_independent_of_earlier_certificates(self, monkeypatch):
         monkeypatch.setattr(boundary, "_SIEVE_CACHE", {})
         monkeypatch.setattr(arith, "_SIEVE", None)
-        first = boundary.certify_nonvanishing(8, 12, 35, 100).to_json()
+        first = boundary.certify_nonvanishing(8, 12, 35).to_json()
         for nu, mt, nt in ((8, 97, 6), (4, 12, 35), (8, 35, 12), (2, 4096, 3)):
-            boundary.certify_nonvanishing(nu, mt, nt, 100)
-        assert boundary.certify_nonvanishing(8, 12, 35, 100).to_json() == first
+            boundary.certify_nonvanishing(nu, mt, nt)
+        assert boundary.certify_nonvanishing(8, 12, 35).to_json() == first

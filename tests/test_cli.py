@@ -98,13 +98,17 @@ class TestBoundaryCommand:
         code, _, err = run_cli(["boundary", "--nu", "6", "--m", "1", "--n", "1"], capsys)
         assert code == 3
 
-    def test_prime_factor_above_default_limit(self, capsys):
-        # 101 exceeds the default --prime-limit 100; the limit extends to it
-        code, out, _ = run_cli(["boundary", "--nu", "2", "--m", "101", "--n", "1"], capsys)
-        assert code == 0
-        doc = json.loads(out)
-        assert doc["prime_limit"] == 101 and doc["verdict"] is True
-        jsonschema.validate(doc, boundary.certificate_schema())
+    def test_large_prime_factor_needs_no_limit(self, capsys):
+        # the exact G factors stop at p = 3 whatever the primes of m*n
+        for nu, m in (("2", "101"), ("8", "2003")):
+            code, out, _ = run_cli(["boundary", "--nu", nu, "--m", m, "--n", "1"], capsys)
+            assert code == 0
+            doc = json.loads(out)
+            assert doc["prime_limit"] == 3 and doc["verdict"] is True
+            jsonschema.validate(doc, boundary.certificate_schema())
+        with pytest.raises(SystemExit) as exc:
+            main(["boundary", "--nu", "2", "--m", "1", "--n", "1", "--prime-limit", "100"])
+        assert exc.value.code == 2
 
     def test_failed_internal_check_exits_1(self, capsys, monkeypatch):
         monkeypatch.setattr(boundary, "key_lhs", lambda nu, p, e: Fraction(2 * nu, p - 1))
