@@ -181,14 +181,7 @@ def cmd_lfun(args, cfg: RunConfig) -> int:
         return EXIT_BADARGS
     chi = parse_alpha(args.alpha, args.nu)
     tr = _truncation(cfg, s)
-    if args.route == "all":
-        routes = ruelle.log_L_routes(s, chi, args.nu, tr)
-    else:
-        key = args.route
-        if key == "series":
-            routes = {key: ruelle.log_L(s, chi, args.nu, tr)}
-        else:
-            routes = {key: ruelle.log_L_routes(s, chi, args.nu, tr)[key]}
+    routes = ruelle.log_L_routes(s, chi, args.nu, tr, ruelle.ROUTES if args.route == "all" else (args.route,))
     vals = {k: v.value for k, v in routes.items()}
     deltas = {}
     ks = sorted(vals)
@@ -284,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nu", type=int, required=True)
     p.add_argument("--s", type=parse_complex, required=True)
     p.add_argument("--alpha", default="0")
-    p.add_argument("--route", choices=["euler", "mobius", "series", "all"], default="all")
+    p.add_argument("--route", choices=[*ruelle.ROUTES, "all"], default="all")
     p.set_defaults(func=cmd_lfun)
 
     p = sub.add_parser("boundary", help="nonvanishing certificate")

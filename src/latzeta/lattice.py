@@ -6,8 +6,11 @@ exp(2*pi*i <n, alpha>).  The pairing phase is reduced mod 1 in exact integer
 arithmetic before being exponentiated, so long sums do not accumulate phase
 drift.  Every lattice sum of the package runs here: point by point over the
 ball (:func:`ball_weighted_sum`), per shell from a shell-by-residue table
-when the weight depends on |v| alone (:func:`norm_sum`), or over the shifted
-ball by prefixes of sorted norms (:func:`shifted_norm_sum`).
+built by convolution over the coordinates when the weight depends on |v|
+alone (:func:`norm_sum`), per bin from a gcd-stratified table built by one
+streamed enumeration when the term depends on |v|, gcd(v) and the phase
+(:func:`gcd_sum`), or over the shifted ball by prefixes of sorted norms
+(:func:`shifted_norm_sum`).
 """
 
 from __future__ import annotations
@@ -30,10 +33,13 @@ __all__ = [
     "shell_array",
     "ShellResidueTable",
     "shell_residue_table",
+    "GcdResidueTable",
+    "gcd_residue_table",
     "row_gcd",
     "pairing_phases",
     "ball_weighted_sum",
     "norm_sum",
+    "gcd_sum",
     "shifted_norm_sum",
 ]
 
@@ -108,28 +114,33 @@ def _isqrt(a: np.ndarray) -> np.ndarray:
     return r
 
 
+def _lines(r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The lengths 2r+1 of lines with half-lengths r, and the coordinates
+    -r..r of every line, concatenated."""
+    lengths = 2 * r + 1
+    return lengths, np.arange(int(lengths.sum())) - np.repeat(np.cumsum(lengths) - lengths + r, lengths)
+
+
 def _complete(prefix: np.ndarray, r: np.ndarray) -> np.ndarray:
     """Each prefix row followed by every last coordinate -r..r, lexicographic."""
-    lengths = 2 * r + 1
-    starts = np.cumsum(lengths) - lengths
-    out = np.empty((int(lengths.sum()), prefix.shape[1] + 1), dtype=np.int64)
+    lengths, last = _lines(r)
+    out = np.empty((last.shape[0], prefix.shape[1] + 1), dtype=np.int64)
     for j in range(prefix.shape[1]):
         out[:, j] = np.repeat(prefix[:, j], lengths)
-    out[:, -1] = np.arange(out.shape[0]) - np.repeat(starts + r, lengths)
+    out[:, -1] = last
     return out
 
 
-def _ball_blocks(nu: int, R2: int, max_rows: float) -> Iterator[np.ndarray]:
-    """The ball |v|^2 <= R2 including 0, lexicographic, as consecutive
-    (N, nu) int64 blocks of at most ``max_rows`` rows (more only when a
-    single 1-D line is longer).
+def _ball_lines(nu: int, R2: int, max_rows: float) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The ball |v|^2 <= R2 including 0, lexicographic, as its lines in the
+    last coordinate: consecutive groups (prefix, r) of (N, nu-1) int64 rows
+    of the (nu-1)-ball and each row's line half-length r, of at most
+    ``max_rows`` points a group (more only when a single line is longer).
 
-    Each block of the (nu-1)-ball is completed by its lines in the last
-    coordinate, and the lines are cut into blocks without splitting a line.
+    Each block of the (nu-1)-ball is cut into groups without splitting a line.
     """
-    R = math.isqrt(R2)
     if nu == 1:
-        yield np.arange(-R, R + 1, dtype=np.int64)[:, None]
+        yield np.zeros((1, 0), dtype=np.int64), np.array([math.isqrt(R2)], dtype=np.int64)
         return
     for prefix in _ball_blocks(nu - 1, R2, max_rows):
         r = _isqrt(R2 - (prefix * prefix).sum(axis=1))
@@ -138,8 +149,17 @@ def _ball_blocks(nu: int, R2: int, max_rows: float) -> Iterator[np.ndarray]:
         while start < prefix.shape[0]:
             done = int(ends[start - 1]) if start else 0
             stop = max(start + 1, int(np.searchsorted(ends, done + max_rows, side="right")))
-            yield _complete(prefix[start:stop], r[start:stop])
+            yield prefix[start:stop], r[start:stop]
             start = stop
+
+
+def _ball_blocks(nu: int, R2: int, max_rows: float) -> Iterator[np.ndarray]:
+    """The ball |v|^2 <= R2 including 0, lexicographic, as consecutive
+    (N, nu) int64 blocks of at most ``max_rows`` rows (more only when a
+    single 1-D line is longer): the groups of :func:`_ball_lines`, completed.
+    """
+    for prefix, r in _ball_lines(nu, R2, max_rows):
+        yield _complete(prefix, r)
 
 
 def _ball_with_origin(nu: int, R2: int) -> np.ndarray:
@@ -191,12 +211,7 @@ def ball_chunks(nu: int, R2: int, max_rows: int = CHUNK_ROWS) -> Iterator[np.nda
 def ball_count(nu: int, R2: int) -> int:
     """Number of nonzero points with |v|^2 <= R2, from the line lengths over
     the (nu-1)-ball, without enumerating the ball itself."""
-    if nu == 1:
-        return 2 * math.isqrt(R2)
-    total = -1
-    for prefix in _ball_blocks(nu - 1, R2, CHUNK_ROWS):
-        total += int((2 * _isqrt(R2 - (prefix * prefix).sum(axis=1)) + 1).sum())
-    return total
+    return sum(int((2 * r + 1).sum()) for _, r in _ball_lines(nu, R2, CHUNK_ROWS)) - 1
 
 
 def _shell_rows(sub: np.ndarray, n: int) -> np.ndarray:
@@ -248,7 +263,7 @@ def pairing_phases(chunk: np.ndarray, chi: Character) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# shell-by-residue tables: norm-only twisted sums over the ball
+# residue tables: twisted sums over the ball whose weight needs no coordinates
 # ---------------------------------------------------------------------------
 
 
@@ -277,91 +292,198 @@ class ShellResidueTable:
     def nbytes(self) -> int:
         return sum(a.nbytes for a in (self.shell_n, self.starts, self.points, self.r, self.count, self.roots))
 
-    def fold(self, mult: int, R2: int) -> tuple[np.ndarray, np.ndarray, int]:
+    def fold(self, mult, R2: int) -> tuple[np.ndarray, np.ndarray, int]:
         """(norms, sums, terms) over the shells n <= R2: each shell's norm
         sqrt(n), the sum of exp(2 pi i mult <v, alpha>) over its points, and
-        the number of points summed."""
+        the number of points summed.  An array of multipliers gives one row
+        of sums per multiplier, from one pass over the bins."""
         k = int(np.searchsorted(self.shell_n, R2, side="right"))
         if k == 0:
-            return np.empty(0), np.empty(0, dtype=complex), 0
+            return np.empty(0), np.empty(np.shape(mult) + (0,), dtype=complex), 0
         stop = int(self.starts[k]) if k < self.starts.shape[0] else self.r.shape[0]
-        w = self.count[:stop] * self.roots[((mult % self.D) * self.r[:stop]) % self.D]
-        sums = np.add.reduceat(w, self.starts[:k])
+        phase = ((np.asarray(mult)[..., None] % self.D) * self.r[:stop]) % self.D
+        sums = np.add.reduceat(self.count[:stop] * self.roots[phase], self.starts[:k], axis=-1)
         return np.sqrt(self.shell_n[:k].astype(np.float64)), sums, int(self.points[k - 1])
 
 
-_TABLE_CACHE: "OrderedDict[tuple, ShellResidueTable]" = OrderedDict()
+@dataclass(frozen=True, eq=False)
+class GcdResidueTable:
+    """The nonzero ball |v|^2 <= R2 binned by (n, g, r) with n = |v|^2,
+    g = gcd(v) and r = <v, a> mod D, where alpha = a/D.
+
+    A twisted sum whose term depends on |v|, gcd(v) and the phase alone
+    reads one term per bin.  Bins are sorted by n, then g, then r, so every
+    smaller ball is a prefix of the table.
+    """
+
+    R2: int
+    D: int
+    n: np.ndarray  # norm of each bin
+    g: np.ndarray  # gcd of each bin
+    r: np.ndarray  # residue of each bin
+    count: np.ndarray  # number of points in each bin, as float64
+    roots: np.ndarray  # exp(2 pi i j / D) for j < D
+
+    @property
+    def nbytes(self) -> int:
+        return sum(a.nbytes for a in (self.n, self.g, self.r, self.count, self.roots))
+
+
+_TABLE_CACHE: "OrderedDict[tuple, ShellResidueTable | GcdResidueTable]" = OrderedDict()
 _TABLE_CACHE_BYTES = 0
 TABLE_CACHE_MAX_BYTES = 64 << 20
 
 
-def _bin_ball(nu: int, R2: int, nums: np.ndarray, D: int) -> tuple[np.ndarray, np.ndarray]:
-    """Sorted unique keys n*D + r of the nonzero ball and their counts, in
-    one pass over the ball.
+def _cached_table(key: tuple, R2: int, build):
+    """The cached table under ``key`` when it covers R2; otherwise ``build()``,
+    which replaces it, or None (caching nothing) when ``build`` refuses.
 
-    The pass reads the ball from the ball cache when another pass put it
-    there, and otherwise streams it without caching it: the table is what
-    stays cached.  A streamed ball includes the origin, the lone key 0.
-    """
-    cached = _BALL_CACHE.get((nu, R2))
-    keys, counts = [], []
-    for chunk in (cached,) if cached is not None else _ball_blocks(nu, R2, CHUNK_ROWS):
-        key, count = np.unique((chunk * chunk).sum(axis=1) * D + (chunk @ nums) % D, return_counts=True)
-        keys.append(key)
-        counts.append(count)
-    if len(keys) == 1:
-        key, count = keys[0], counts[0].astype(np.float64)
-    else:
-        key, inv = np.unique(np.concatenate(keys), return_inverse=True)
-        count = np.bincount(inv, weights=np.concatenate(counts))
-    origin = int(key.size > 0 and key[0] == 0)
-    return key[origin:], count[origin:]
-
-
-def shell_residue_table(nu: int, R2: int, chi: Character) -> ShellResidueTable | None:
-    """A shell-by-residue table for ``chi`` of a nonzero ball |v|^2 <= R2' with
-    R2' >= R2.
-
-    The cache holds one table per (nu, alpha), the largest built so far; a
-    request beyond it builds the table at R2 and replaces it.  Tables are
-    kept in an LRU cache of at most ``TABLE_CACHE_MAX_BYTES``.  Returns None,
-    building nothing, when a request beyond the cached table could outgrow
-    that budget (a table has at most one bin per point and D bins per shell,
-    plus D roots of unity); :func:`norm_sum` then sums the ball point by point.
+    Tables share one LRU cache of at most ``TABLE_CACHE_MAX_BYTES``.
     """
     global _TABLE_CACHE_BYTES
-    key = (nu, chi.alpha)
     table = _TABLE_CACHE.get(key)
     if table is not None and table.R2 >= R2:
         _TABLE_CACHE.move_to_end(key)
         return table
-    nums, D = chi.numerators_denominator()
-    # 16 bytes per bin (r, count), 24 per shell (shell_n, starts, points), 16
-    # per root; the point count is needed only when R2 * D bins would not fit
-    budget = TABLE_CACHE_MAX_BYTES - 24 * R2 - 16 * D
-    if 16 * R2 * D > budget and 16 * ball_count(nu, R2) > budget:
+    new = build()
+    if new is None:
         return None
-    keys, count = _bin_ball(nu, R2, nums, D)
     if table is not None:  # the larger table replaces it
         _TABLE_CACHE_BYTES -= _TABLE_CACHE.pop(key).nbytes
-    n = keys // D
-    starts = np.flatnonzero(np.diff(n, prepend=-1))
-    table = ShellResidueTable(
-        R2=R2,
-        D=D,
-        shell_n=n[starts],
-        starts=starts,
-        points=np.cumsum(np.add.reduceat(count, starts)).astype(np.int64),
-        r=keys % D,
-        count=count,
-        roots=np.exp((2j * np.pi / D) * np.arange(D)),
-    )
-    _TABLE_CACHE[key] = table
-    _TABLE_CACHE_BYTES += table.nbytes
+    _TABLE_CACHE[key] = new
+    _TABLE_CACHE_BYTES += new.nbytes
     while _TABLE_CACHE_BYTES > TABLE_CACHE_MAX_BYTES:
         _, old = _TABLE_CACHE.popitem(last=False)
         _TABLE_CACHE_BYTES -= old.nbytes
-    return table
+    return new
+
+
+def _tally(parts, size: int, items: int) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted distinct keys in [0, size) and their float64 totals over the
+    (keys, counts) pairs of ``parts``, which hold ``items`` keys in all.
+
+    A dense accumulator of ``size`` slots when that is no more than
+    ``items``, otherwise one sort of all the keys: neither holds more than
+    ``items`` entries.
+    """
+    if size <= items:
+        acc = np.zeros(size)
+        for key, count in parts:
+            np.add.at(acc, key, count)
+        key = np.flatnonzero(acc)
+        return key, acc[key]
+    keys, counts = zip(*parts)
+    key, inv = np.unique(np.concatenate(keys), return_inverse=True)
+    return key, np.bincount(inv, weights=np.concatenate([np.broadcast_to(c, k.shape) for k, c in zip(keys, counts)]))
+
+
+def _convolve_ball(nu: int, R2: int, nums: np.ndarray, D: int) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted keys n*D + r of the nonzero ball and their counts, one
+    coordinate at a time: T_{j+1}(n, r) = sum_m T_j(n - m^2, r - a_j m mod D),
+    from T_0 = the origin.
+
+    Each (bin, m) pair a step forms extends a distinct point of the ball, so
+    no step forms more pairs than the ball has points.
+    """
+    R = math.isqrt(R2)
+    m = np.arange(-R, R + 1, dtype=np.int64)
+    key, count = np.zeros(1, dtype=np.int64), np.ones(1)
+    for a in nums.tolist():
+        n, r = np.divmod(key, D)
+        stops = np.searchsorted(key, (R2 + 1 - m * m) * D)  # the bins with n + m^2 <= R2
+        parts = (((n[:k] + j * j) * D + (r[:k] + a * j) % D, count[:k]) for j, k in zip(m.tolist(), stops.tolist()))
+        key, count = _tally(parts, (R2 + 1) * D, int(stops.sum()))
+    return key[1:], count[1:]
+
+
+def _gcd_bins(nu: int, R2: int, nums: np.ndarray, D: int, points: int) -> tuple[np.ndarray, ...]:
+    """(n, g, r, count) of the ``points`` nonzero points of the ball, binned
+    by norm, gcd and residue and sorted by n, g, r, in one streamed pass.
+
+    A point with gcd g has g^2 | n, so (n, g) is the slot offset[g] + n/g^2
+    of a compact index; slot 0 is the origin, the one point with g = 0.
+    """
+    R = math.isqrt(R2)
+    gs = np.arange(R + 1)
+    sizes = R2 // np.maximum(gs, 1) ** 2 + 1
+    sizes[0] = 1
+    offset = np.cumsum(sizes) - sizes
+
+    def blocks():
+        for prefix, r in _ball_lines(nu, R2, CHUNK_ROWS):
+            lengths, last = _lines(r)
+            g = np.gcd(np.repeat(np.gcd.reduce(prefix, axis=1), lengths), last)
+            n = np.repeat((prefix * prefix).sum(axis=1), lengths) + last * last
+            res = (np.repeat(prefix @ nums[:-1], lengths) + nums[-1] * last) % D
+            yield (offset[g] + n // np.maximum(g, 1) ** 2) * D + res, 1.0
+
+    key, count = _tally(blocks(), int(sizes.sum()) * D, points + 1)
+    slot, r = np.divmod(key[1:], D)
+    g = np.repeat(gs, sizes)[slot]
+    n = (slot - offset[g]) * g * g
+    order = np.lexsort((r, g, n))
+    return n[order], g[order], r[order], count[1:][order]
+
+
+def shell_residue_table(nu: int, R2: int, chi: Character) -> ShellResidueTable | None:
+    """A shell-by-residue table for ``chi`` of a nonzero ball |v|^2 <= R2' with
+    R2' >= R2, built by convolution over the coordinates (no point of the
+    ball is enumerated).
+
+    The cache holds one table per (nu, alpha), the largest built so far; a
+    request beyond it builds the table at R2 and replaces it.  Returns None,
+    building nothing, when a request beyond the cached table could outgrow
+    the cache budget (a table has at most one bin per point and D bins per
+    shell, plus D roots of unity); :func:`norm_sum` then sums the ball point
+    by point.
+    """
+
+    def build() -> ShellResidueTable | None:
+        nums, D = chi.numerators_denominator()
+        # 16 bytes per bin (r, count), 24 per shell (shell_n, starts, points), 16
+        # per root; the point count is needed only when R2 * D bins would not fit
+        budget = TABLE_CACHE_MAX_BYTES - 24 * R2 - 16 * D
+        if 16 * R2 * D > budget and 16 * ball_count(nu, R2) > budget:
+            return None
+        keys, count = _convolve_ball(nu, R2, nums, D)
+        n = keys // D
+        starts = np.flatnonzero(np.diff(n, prepend=-1))
+        return ShellResidueTable(
+            R2=R2,
+            D=D,
+            shell_n=n[starts],
+            starts=starts,
+            points=np.cumsum(np.add.reduceat(count, starts)).astype(np.int64),
+            r=keys % D,
+            count=count,
+            roots=np.exp((2j * np.pi / D) * np.arange(D)),
+        )
+
+    return _cached_table((nu, chi.alpha), R2, build)
+
+
+def gcd_residue_table(nu: int, R2: int, chi: Character) -> GcdResidueTable | None:
+    """A gcd-stratified table for ``chi`` of a nonzero ball |v|^2 <= R2' with
+    R2' >= R2, built by enumerating the ball once in streamed blocks.
+
+    Cached and grown per (nu, alpha) beside the shell-residue table, in the
+    same budgeted cache.  Returns None, building nothing, when a request
+    beyond the cached table could outgrow the budget (a table has at most
+    one bin per point and D bins per (n, g) with g^2 | n); :func:`gcd_sum`
+    then sums the ball point by point.
+    """
+
+    def build() -> GcdResidueTable | None:
+        nums, D = chi.numerators_denominator()
+        points = ball_count(nu, R2)
+        slots = sum(R2 // (g * g) for g in range(1, math.isqrt(R2) + 1))
+        # 32 bytes per bin (n, g, r, count) and 16 per root
+        if 32 * min(points, slots * D) + 16 * D > TABLE_CACHE_MAX_BYTES:
+            return None
+        n, g, r, count = _gcd_bins(nu, R2, nums, D, points)
+        return GcdResidueTable(R2=R2, D=D, n=n, g=g, r=r, count=count, roots=np.exp((2j * np.pi / D) * np.arange(D)))
+
+    return _cached_table((nu, chi.alpha, "gcd"), R2, build)
 
 
 def ball_weighted_sum(nu: int, R2: int, chi: Character, weight) -> tuple[complex, int]:
@@ -383,7 +505,7 @@ def ball_weighted_sum(nu: int, R2: int, chi: Character, weight) -> tuple[complex
     return total, terms
 
 
-def norm_sum(weight, nu: int, R2: int, chi: Character, mult: int = 1) -> tuple[complex, int]:
+def norm_sum(weight, nu: int, R2: int, chi: Character, mult=1) -> tuple[complex, int]:
     """sum over nonzero |n|^2 <= R2 of weight(|n|) * exp(2 pi i mult <n, alpha>),
     and the number of points summed.
 
@@ -391,13 +513,50 @@ def norm_sum(weight, nu: int, R2: int, chi: Character, mult: int = 1) -> tuple[c
     which serves every smaller ball and every multiple of alpha, when a table
     covering R2 fits the table cache; otherwise summed over the ball point by
     point.  ``weight`` may return a stack of weights, as for
-    :func:`ball_weighted_sum`.
+    :func:`ball_weighted_sum`.  An array of multipliers gives one sum per
+    multiplier, with ``weight`` returning one row of weights per multiplier
+    (last but one axis).
     """
     table = shell_residue_table(nu, R2, chi)
     if table is None:
-        return ball_weighted_sum(nu, R2, chi.scaled(mult), lambda norms, rows: weight(norms))
+
+        def weight_phases(norms, rows):
+            phases = [pairing_phases(rows, chi.scaled(m)) for m in np.ravel(mult).tolist()]
+            return weight(norms) * np.reshape(phases, np.shape(mult) + (-1,))
+
+        return ball_weighted_sum(nu, R2, Character.zero(nu), weight_phases)
     norms, sums, terms = table.fold(mult, R2)
     return (weight(norms) * sums).sum(axis=-1), terms
+
+
+def gcd_sum(term, nu: int, R2: int, chi: Character, primitive: bool = False) -> tuple[complex, int]:
+    """sum over nonzero |v|^2 <= R2, only the primitive ones (gcd 1) when
+    ``primitive``, of term(|v|, gcd(v), exp(2 pi i <v, alpha>)), and the
+    number of points summed.
+
+    ``term(norms, gcds, phases)`` works elementwise.  Read once per bin,
+    weighted by its count, from the one cached gcd-stratified table of
+    (nu, alpha) when a table covering R2 fits the table cache; otherwise
+    summed over the ball point by point.
+    """
+    table = gcd_residue_table(nu, R2, chi)
+    if table is None:
+        total, terms = 0j, 0
+        for chunk in ball_chunks(nu, R2):
+            g = row_gcd(chunk)
+            if primitive:
+                chunk, g = chunk[g == 1], g[g == 1]
+            norms = np.sqrt((chunk.astype(np.float64) ** 2).sum(axis=1))
+            total += complex(term(norms, g, pairing_phases(chunk, chi)).sum())
+            terms += chunk.shape[0]
+        return total, terms
+    stop = int(np.searchsorted(table.n, R2, side="right"))
+    n, g, r, count = table.n[:stop], table.g[:stop], table.r[:stop], table.count[:stop]
+    if primitive:
+        keep = g == 1
+        n, g, r, count = n[keep], g[keep], r[keep], count[keep]
+    total = (count * term(np.sqrt(n.astype(np.float64)), g, table.roots[r])).sum()
+    return complex(total), int(count.sum())
 
 
 # ---------------------------------------------------------------------------

@@ -15,13 +15,16 @@ form, is the s-derivative of that Moebius sum: C(nu) Area(S^nu) / (2 (2 pi)^nu)
 coefficients -k gamma(k) and weight |v| e^{-k s |v|}.
 
 Sums whose weight depends on |n| alone (g, log G, the Moebius route and
-L'/L) read the one shell-by-residue table of the ball per (nu, alpha); the
-Euler and series routes sum the ball point by point, so the three log L
-routes stay independent computations.
+L'/L) read the shell-by-residue table F of the ball per (nu, alpha), built by
+convolution over the coordinates.  The Euler and series routes read the
+gcd-stratified table G(n, g, r) of the same ball, built by enumeration: the
+Euler route its g = 1 bins, the series route every bin with weight 1/g.  So
+the Moebius route and the other two rest on independent data paths.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -229,36 +232,32 @@ def log_G(s: complex, chi: Character | None, nu: int, tr: Truncation | None = No
 def _k_sum(s: complex, chi: Character, nu: int, tr: Truncation, coeff, power: int = 0) -> SeriesValue:
     """sum_{k <= ell_limit} coeff[k]/k sum_{v != 0} |v|^power e^{-k s |v|} chi(v)^k,
     every inner sum read from the base character's table at radius
-    max(2, radius / k).  Stops once Re(k s) > 50; the tail covers the
-    truncated balls, not the omitted k."""
+    max(2, radius / k), in one fold per run of consecutive k that read the
+    same ball.  Stops once Re(k s) > 50; the tail covers the truncated
+    balls, not the omitted k."""
+    ks = [k for k in range(1, tr.ell_limit + 1) if k == 1 or (k * s).real <= 50.0]
     total = 0j
     terms = 0
     tail = 0.0
-    for k in range(1, tr.ell_limit + 1):
-        u = k * s
-        if u.real > 50.0 and k > 1:
-            break
-        c = float(coeff[k])
-        radius = max(2.0, tr.radius / k)
-        weight = lambda norms: norms**power * np.exp(-u * norms)
-        val, n = lattice.norm_sum(weight, nu, int(math.ceil(radius**2)), chi, k)
-        total += c * complex(val) / k
-        terms += n
-        tail += abs(c) * _exp_tail_estimate(nu, u.real, radius, power) / k
+    for R2, run in itertools.groupby(ks, key=lambda k: int(math.ceil(max(2.0, tr.radius / k) ** 2))):
+        mults = np.array(list(run))
+        weight = lambda norms: norms**power * np.exp(-np.multiply.outer(mults * s, norms))
+        vals, n = lattice.norm_sum(weight, nu, R2, chi, mults)
+        for k, val in zip(mults.tolist(), vals.tolist()):
+            c = float(coeff[k])
+            total += c * complex(val) / k
+            terms += n
+            tail += abs(c) * _exp_tail_estimate(nu, (k * s).real, max(2.0, tr.radius / k), power) / k
     return SeriesValue(total, terms, tail)
 
 
 def _log_L_euler(s: complex, chi: Character, nu: int, tr: Truncation) -> SeriesValue:
-    """-sum over primitive |p| <= radius of log(1 - chi(p) e^{-s|p|})."""
+    """-sum over primitive |p| <= radius of log(1 - chi(p) e^{-s|p|}), one
+    term per bin of the gcd-stratified table with g = 1."""
     R2 = int(math.ceil(tr.radius**2))
-    total = 0j
-    count = 0
-    for chunk in lattice.ball_chunks(nu, R2):
-        prim = chunk[lattice.row_gcd(chunk) == 1]
-        norms = np.sqrt((prim.astype(np.float64) ** 2).sum(axis=1))
-        ph = lattice.pairing_phases(prim, chi)
-        total += complex(-np.log1p(-ph * np.exp(-s * norms)).sum())
-        count += prim.shape[0]
+    total, count = lattice.gcd_sum(
+        lambda norms, g, phases: -np.log1p(-phases * np.exp(-s * norms)), nu, R2, chi, primitive=True
+    )
     tail = _exp_tail_estimate(nu, s.real, tr.radius)
     return SeriesValue(total, count, tail)
 
@@ -274,11 +273,10 @@ def _log_L_mobius(s: complex, chi: Character, nu: int, tr: Truncation) -> Series
 
 
 def _log_L_series(s: complex, chi: Character, nu: int, tr: Truncation) -> SeriesValue:
-    """sum_n M_nu(n, alpha, 1) e^{-s sqrt(n)} as a gcd-weighted ball sum."""
+    """sum_n M_nu(n, alpha, 1) e^{-s sqrt(n)}, one gcd-weighted term
+    chi(v) e^{-s|v|} / gcd(v) per bin of the gcd-stratified table."""
     R2 = int(math.ceil(tr.radius**2))
-    val, terms = lattice.ball_weighted_sum(
-        nu, R2, chi, lambda norms, rows: np.exp(-s * norms) / lattice.row_gcd(rows)
-    )
+    val, terms = lattice.gcd_sum(lambda norms, g, phases: phases * np.exp(-s * norms) / g, nu, R2, chi)
     tail = _exp_tail_estimate(nu, s.real, tr.radius)
     return SeriesValue(complex(val), terms, tail)
 
@@ -291,18 +289,19 @@ def log_L(s: complex, chi: Character | None, nu: int, tr: Truncation | None = No
     return _log_L_series(s, chi, nu, tr)
 
 
+ROUTES = ("euler", "mobius", "series")
+
+
 def log_L_routes(
-    s: complex, chi: Character | None, nu: int, tr: Truncation | None = None
+    s: complex, chi: Character | None, nu: int, tr: Truncation | None = None, routes: tuple[str, ...] = ROUTES
 ) -> dict[str, SeriesValue]:
-    """All three routes, keyed 'euler' / 'mobius' / 'series'."""
+    """The routes named in ``routes`` (all three by default), keyed 'euler' /
+    'mobius' / 'series'; no other route is computed."""
     s = _require_right_half(s)
     tr = tr or default_truncation(s)
     chi = _as_character(chi, nu)
-    return {
-        "euler": _log_L_euler(s, chi, nu, tr),
-        "mobius": _log_L_mobius(s, chi, nu, tr),
-        "series": _log_L_series(s, chi, nu, tr),
-    }
+    route = {"euler": _log_L_euler, "mobius": _log_L_mobius, "series": _log_L_series}
+    return {name: route[name](s, chi, nu, tr) for name in routes}
 
 
 def log_deriv_L(

@@ -7,7 +7,7 @@ from fractions import Fraction
 import jsonschema
 import pytest
 
-from latzeta import boundary
+from latzeta import boundary, ruelle
 from latzeta.cli import main
 
 
@@ -80,6 +80,23 @@ class TestLfunCommand:
         code, out, _ = run_cli(["lfun", "--nu", "1", "--s", "2", "--route", "series"], capsys)
         assert code == 0
         assert list(json.loads(out)["log_L"]) == ["series"]
+
+    @pytest.mark.parametrize("route", ["euler", "mobius", "series"])
+    def test_single_route_computes_only_that_route(self, capsys, monkeypatch, route):
+        argv = ["lfun", "--nu", "2", "--s", "0.9+0.2i", "--alpha", "1/3,1/4"]
+        code, out, _ = run_cli(argv + ["--route", "all"], capsys)
+        assert code == 0
+        want = json.loads(out)["log_L"][route]
+
+        def refuse(*args):
+            raise AssertionError("a route that is not printed was computed")
+
+        for other in {"euler", "mobius", "series"} - {route}:
+            monkeypatch.setattr(ruelle, f"_log_L_{other}", refuse)
+        code, out, _ = run_cli(argv + ["--route", route], capsys)
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["log_L"] == {route: want} and doc["route_deltas"] == {}
 
     def test_nonpositive_s_exits_2(self, capsys):
         code, _, _ = run_cli(["lfun", "--nu", "1", "--s", "-1"], capsys)

@@ -1,5 +1,5 @@
 import math
-from collections import OrderedDict
+from collections import Counter, OrderedDict
 from fractions import Fraction
 
 import numpy as np
@@ -267,6 +267,19 @@ class TestLatticeVector:
             lattice.shell_array(0, 1)
 
 
+def characters(nu):
+    """Characters of denominator 1, 6, 60 and 997 in nu dimensions."""
+    parts = {6: (1, 3, 4, 2, 5), 60: (7, 15, 20, 0, 59), 997: (1, 3, 996, 500, 0)}
+    return [Character.zero(nu)] + [Character(tuple(Fraction(a, D) for a in parts[D][:nu])) for D in parts]
+
+
+def shell_bins(table, R2):
+    """(n, r, count) of the shell-residue table's bins with n <= R2."""
+    n = np.repeat(table.shell_n, np.diff(table.starts, append=table.r.shape[0]))
+    stop = int(np.searchsorted(n, R2, side="right"))
+    return n[:stop], table.r[:stop], table.count[:stop]
+
+
 class TestShellResidueTable:
     @pytest.fixture(autouse=True)
     def fresh_cache(self, monkeypatch):
@@ -311,6 +324,13 @@ class TestShellResidueTable:
                 assert np.array_equal(norms, np.sqrt(shells.astype(np.float64)))
                 assert np.abs(sums - want).max() < 1e-12, (mult, R2)
                 assert terms == lattice.ball_count(3, R2)
+        # an array of multipliers folds each one as a fold of its own would
+        mults = np.array([1, 2, 3, 6, 7])
+        for R2 in (64, 17, 4):
+            norms, sums, terms = t.fold(mults, R2)
+            assert sums.shape == (mults.shape[0], norms.shape[0])
+            for mult, row in zip(mults.tolist(), sums):
+                assert np.array_equal(row, t.fold(mult, R2)[1])
 
     def test_large_denominator_bins_bounded_by_points(self):
         chi = Character((Fraction(1, 997), Fraction(3, 997)))
@@ -362,24 +382,97 @@ class TestShellResidueTable:
         assert lattice.shell_residue_table(1, 10**6, Character.zero(1)) is None
         assert lattice.shell_residue_table(1, 4, Character.zero(1)) is small
 
-    def test_table_from_streamed_or_cached_ball(self, monkeypatch):
-        # a table build streams a ball nobody cached, in several blocks here
-        # (2.9e5 points), and caches no ball itself; from a cached ball it
-        # gets the same bins
-        chi = Character((Fraction(1, 6), Fraction(1, 2), Fraction(1, 3)))
+    def test_convolution_matches_binned_enumeration(self):
+        # the table is built by convolution over coordinates; the brute
+        # pure-Python ball binned here by (n, <v, a> mod D) is the oracle
+        for nu, R2 in ((1, 50), (2, 60), (3, 30), (4, 17), (5, 9)):
+            for chi in characters(nu):
+                nums, D = chi.numerators_denominator()
+                want = Counter((sum(c * c for c in v), int(np.dot(v, nums)) % D) for v in brute_ball(nu, R2))
+                n, r, count = shell_bins(lattice.shell_residue_table(nu, R2, chi), R2)
+                assert dict(zip(zip(n.tolist(), r.tolist()), count.tolist())) == want, (nu, R2, D)
+
+    def test_convolution_builds_no_ball(self, monkeypatch):
+        # a build of 2.9e5 points caches no ball rows
         monkeypatch.setattr(lattice, "_BALL_CACHE", {})
         monkeypatch.setattr(lattice, "_BALL_CACHE_ROWS", 0)
-        streamed = lattice.shell_residue_table(3, 1700, chi)
+        t = lattice.shell_residue_table(3, 1700, Character((Fraction(1, 6), Fraction(1, 2), Fraction(1, 3))))
         assert not lattice._BALL_CACHE
-        assert lattice.ball_count(3, 1700) > lattice.CHUNK_ROWS
-        lattice.ball_array(3, 1700)
-        assert (3, 1700) in lattice._BALL_CACHE
+        assert t.points[-1] == lattice.ball_count(3, 1700) > lattice.CHUNK_ROWS
+
+
+class TestGcdResidueTable:
+    """The gcd-stratified table G(n, g, r), built by enumeration, against
+    brute sums and against the convolution-built table F(n, r)."""
+
+    @pytest.fixture(autouse=True)
+    def fresh_cache(self, monkeypatch):
         monkeypatch.setattr(lattice, "_TABLE_CACHE", OrderedDict())
         monkeypatch.setattr(lattice, "_TABLE_CACHE_BYTES", 0)
-        cached = lattice.shell_residue_table(3, 1700, chi)
-        for field in ("shell_n", "starts", "points", "r", "count"):
-            assert np.array_equal(getattr(streamed, field), getattr(cached, field)), field
-        assert streamed.points[-1] == lattice.ball_count(3, 1700)
+
+    def test_matches_brute_enumeration(self):
+        for nu, R2 in ((1, 50), (2, 60), (3, 30), (4, 17), (5, 9)):
+            for chi in characters(nu):
+                nums, D = chi.numerators_denominator()
+                want = Counter(
+                    (sum(c * c for c in v), math.gcd(*v), int(np.dot(v, nums)) % D) for v in brute_ball(nu, R2)
+                )
+                t = lattice.gcd_residue_table(nu, R2, chi)
+                got = dict(zip(zip(t.n.tolist(), t.g.tolist(), t.r.tolist()), t.count.tolist()))
+                assert got == want, (nu, R2, D)
+                order = np.lexsort((t.r, t.g, t.n))
+                assert np.array_equal(order, np.arange(order.shape[0]))
+
+    def test_gcd_marginal_is_the_shell_table(self):
+        # sum_g G(n, g, r) = F(n, r) bin for bin, in integers, read from
+        # prefixes of grown tables (both kinds replaced by a larger build);
+        # the nu = 3 ball of 2.9e5 points streams in several blocks
+        assert lattice.ball_count(3, 1700) > lattice.CHUNK_ROWS
+        sizes = {1: (90, 400, 10**4), 2: (40, 150, 900), 3: (12, 200, 1700), 4: (8, 25, 60), 5: (5, 12, 30)}
+        for nu, (small, mid, big) in sizes.items():
+            for chi in characters(nu):
+                lattice.shell_residue_table(nu, small, chi)
+                lattice.gcd_residue_table(nu, small, chi)
+                F = lattice.shell_residue_table(nu, big, chi)
+                G = lattice.gcd_residue_table(nu, big, chi)
+                assert F.R2 == G.R2 == big
+                for R2 in (small, mid, big):
+                    n, r, count = shell_bins(F, R2)
+                    stop = int(np.searchsorted(G.n, R2, side="right"))
+                    key, inv = np.unique(G.n[:stop] * G.D + G.r[:stop], return_inverse=True)
+                    assert np.array_equal(key, n * F.D + r), (nu, chi, R2)
+                    assert np.array_equal(np.bincount(inv, weights=G.count[:stop]), count), (nu, chi, R2)
+
+    def test_gcd_sum_matches_ball_sum(self):
+        # a term of norm, gcd and phase, over all points and over primitive ones
+        chi = Character((Fraction(1, 6), Fraction(1, 2), Fraction(2, 3)))
+        term = lambda norms, g, ph: ph * np.exp(-0.7 * norms) / g**1.5
+        rows = lattice.ball_array(3, 64)
+        g = lattice.row_gcd(rows)
+        each = term(np.sqrt((rows * rows).sum(axis=1)), g, lattice.pairing_phases(rows, chi))
+        for R2 in (64, 20):
+            inside = (rows * rows).sum(axis=1) <= R2
+            for primitive, keep in ((False, inside), (True, inside & (g == 1))):
+                got, terms = lattice.gcd_sum(term, 3, R2, chi, primitive=primitive)
+                assert terms == keep.sum()
+                assert abs(got - each[keep].sum()) < 1e-13 * abs(each[keep].sum())
+
+    def test_shares_the_byte_budget(self, monkeypatch):
+        chi = Character((Fraction(1, 3), Fraction(1, 4)))
+        F = lattice.shell_residue_table(2, 400, chi)
+        G = lattice.gcd_residue_table(2, 400, chi)
+        assert list(lattice._TABLE_CACHE.values()) == [F, G]
+        assert lattice._TABLE_CACHE_BYTES == F.nbytes + G.nbytes
+        monkeypatch.setattr(lattice, "TABLE_CACHE_MAX_BYTES", G.nbytes + F.nbytes // 2)
+        other = Character((Fraction(2, 3), Fraction(1, 4)))
+        lattice.shell_residue_table(2, 100, other)
+        assert (2, chi.alpha) not in lattice._TABLE_CACHE
+        assert lattice._TABLE_CACHE_BYTES == sum(t.nbytes for t in lattice._TABLE_CACHE.values())
+
+    def test_over_budget_is_not_built(self, monkeypatch):
+        monkeypatch.setattr(lattice, "TABLE_CACHE_MAX_BYTES", 1000)
+        assert lattice.gcd_residue_table(3, 100, Character.zero(3)) is None
+        assert not lattice._TABLE_CACHE
 
 
 class TestShiftedNormSum:

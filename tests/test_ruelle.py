@@ -433,17 +433,38 @@ class TestShellResidueReads:
         # sums then come from the ball, point by point
         s, nu = 0.9 + 0.2j, 2
         chi = Character((Fraction(1, 3), Fraction(1, 4)))
-        with_table = (ruelle.g_direct(s, chi, nu), ruelle.log_L_routes(s, chi, nu)["mobius"],
-                      ruelle.log_deriv_L(s, chi, nu))
+
+        def sums():
+            routes = ruelle.log_L_routes(s, chi, nu)
+            return (ruelle.g_direct(s, chi, nu), routes["mobius"], ruelle.log_deriv_L(s, chi, nu),
+                    routes["euler"], routes["series"])
+
+        with_table = sums()
         monkeypatch.setattr(lattice, "_TABLE_CACHE", OrderedDict())
         monkeypatch.setattr(lattice, "_TABLE_CACHE_BYTES", 0)
         monkeypatch.setattr(lattice, "TABLE_CACHE_MAX_BYTES", 0)
-        without = (ruelle.g_direct(s, chi, nu), ruelle.log_L_routes(s, chi, nu)["mobius"],
-                   ruelle.log_deriv_L(s, chi, nu))
+        without = sums()
         assert not lattice._TABLE_CACHE
         for a, b in zip(with_table, without):
             assert abs(a.value - b.value) < 1e-13 * abs(b.value)
             assert (a.terms, a.tail_estimate) == (b.terms, b.tail_estimate)
+
+    def test_k_sum_folds_each_ball_once(self, monkeypatch):
+        # at Re s = 0.1 the 400 k's read 81 distinct balls (251 of them the
+        # radius-2 ball); each ball is folded once, for all of its k's
+        calls = []
+        norm_sum = lattice.norm_sum
+
+        def counted(weight, nu, R2, chi, mult=1):
+            calls.append((R2, np.size(mult)))
+            return norm_sum(weight, nu, R2, chi, mult)
+
+        monkeypatch.setattr(lattice, "norm_sum", counted)
+        tr = ruelle.default_truncation(0.1)
+        ruelle.log_G(0.1, None, 2, tr)
+        R2s = [math.ceil(max(2.0, tr.radius / k) ** 2) for k in range(1, tr.ell_limit + 1)]
+        assert [R2 for R2, _ in calls] == sorted(set(R2s), reverse=True)
+        assert [m for _, m in calls] == [R2s.count(R2) for R2, _ in calls]
 
     def test_byte_identical_after_cache_clear(self, monkeypatch):
         s, nu = 1.1 + 0.4j, 3
